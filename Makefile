@@ -73,7 +73,9 @@ bench:
 # 8-function study instance well inside DefaultMaxNodes. The tests assert the
 # budgets; the benchmark runs print the numbers for the log. The exact-solver
 # pair gates the oracle the same way: a warm Solver stays under its small
-# allocation ceiling, and two identical solves are bit-identical.
+# allocation ceiling, and two identical solves are bit-identical. A warm
+# 2000-call corpus prefix load must stay under 64 KiB, so generating a whole
+# trace only to truncate it (a scale-1 antlr trace alone is ~940 KB) fails.
 bench-guard:
 	$(GO) test -run='TestDisabledRecorderZeroAlloc|TestRecorderDisabledZeroAlloc|TestEvaluatorZeroAlloc' -count=1 \
 		./internal/obs/ ./internal/sim/
@@ -82,17 +84,21 @@ bench-guard:
 	$(GO) test -run='TestIARArenaWarmAllocGuard' -count=1 ./internal/core/
 	$(GO) test -run='TestIARArenaAllocGuard' -count=1 .
 	$(GO) test -run='TestOnlineObserveAllocGuard|TestOnlineReplanSpeedupGuard' -count=1 ./internal/online/
+	$(GO) test -run='TestLoadPrefixAllocGuard' -count=1 ./internal/dacapo/
 	$(GO) test -run='^$$' -bench=BenchmarkRunCallsRecorder -benchtime=100x ./internal/sim/
 	$(GO) test -run='^$$' -bench='BenchmarkEvaluatorRun|BenchmarkEvaluatorDelta' -benchmem -benchtime=50x ./internal/sim/
 
 # Machine-readable benchmark record: the evaluator fast path, the search
-# micro-benchmarks, and the figure benchmarks with their normalized make-span
-# metrics, collected into BENCH_core.json via cmd/benchjson.
+# micro-benchmarks, the figure benchmarks with their normalized make-span
+# metrics, and the uncached /schedule compute (BenchmarkServeMiss, one op per
+# corpus miss, 27 ops = 3 passes over the suite), collected into
+# BENCH_core.json via cmd/benchjson.
 bench-json:
 	@{ $(GO) test -run='^$$' -bench='^BenchmarkFig5$$|^BenchmarkIAR$$|^BenchmarkIARAblation$$|^BenchmarkSimReplay$$|^BenchmarkAStarSearch6$$' \
 		-benchmem -benchtime=3x . && \
 	$(GO) test -run='^$$' -bench='BenchmarkSimRun|BenchmarkEvaluator' -benchmem -benchtime=50x ./internal/sim/ && \
-	$(GO) test -run='^$$' -bench='BenchmarkBeamSearch' -benchmem -benchtime=10x ./internal/astar/; } \
+	$(GO) test -run='^$$' -bench='BenchmarkBeamSearch' -benchmem -benchtime=10x ./internal/astar/ && \
+	$(GO) test -run='^$$' -bench='BenchmarkServeMiss' -benchmem -benchtime=27x ./internal/server/; } \
 		| $(GO) run ./cmd/benchjson -o BENCH_core.json
 	@echo "wrote BENCH_core.json"
 

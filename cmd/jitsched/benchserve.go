@@ -122,15 +122,7 @@ func cmdBenchServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("bench-serve: %w", err)
 		}
-		scale := c.Scale
-		if scale == 0 {
-			scale = workload.DefaultCohortScale
-		}
-		w, err := b.Load(scale)
-		if err != nil {
-			return fmt.Errorf("bench-serve: load cohort %s: %w", c.Bench, err)
-		}
-		offsets[i+1] = offsets[i] + trace.FuncID(w.Profile.NumFuncs())
+		offsets[i+1] = offsets[i] + trace.FuncID(b.Funcs)
 	}
 
 	// Pre-build the request bodies. The cheap heuristic schedulers keep a

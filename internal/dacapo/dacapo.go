@@ -14,6 +14,7 @@ package dacapo
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -47,12 +48,35 @@ type Benchmark struct {
 	gen    trace.GenConfig
 	timing profile.TimingConfig
 	seed   int64
+	// shared holds the profile and default model every load of this suite
+	// benchmark reuses; nil for a Benchmark built outside the suite.
+	shared *shared
 }
+
+// shared is one suite benchmark's timing profile and default cost model.
+// Both depend on the benchmark alone — not on scale, run, or prefix — so
+// each is built once, on first use, and handed to every later caller. The
+// nine entries are bounded by the suite and never evicted.
+type shared struct {
+	profileOnce sync.Once
+	profile     *profile.Profile
+	profileErr  error
+
+	modelOnce sync.Once
+	model     *profile.Estimated
+}
+
+// suiteShared backs Benchmark.shared, in suite order.
+var suiteShared [9]shared
 
 // Workload is a loaded benchmark: its call sequence and timing profile.
 type Workload struct {
-	Bench   Benchmark
-	Trace   *trace.Trace
+	Bench Benchmark
+	Trace *trace.Trace
+	// Profile is, for a suite benchmark, the one profile every Load,
+	// LoadPrefix, LoadRun and LoadThreads of that benchmark returns. Like a
+	// Trace's memoized indices it is shared between callers — treat it as
+	// read-only, and Clone it to derive a variant.
 	Profile *profile.Profile
 }
 
@@ -78,7 +102,7 @@ func suite() []Benchmark {
 		b.timing.ExecMedian = execMedian
 		return b
 	}
-	return []Benchmark{
+	bs := []Benchmark{
 		//  name      par    funcs fullLen    secs  scaled  period  seed zipf ph core warm  cov  burst exec
 		mk("antlr", false, 1187, 2403584, 1.6, 240000, 400000, 101, 1.45, 4, 0.55, 0.08, 0.80, 3, 110),
 		mk("bloat", false, 1581, 9423445, 5.0, 315000, 500000, 102, 1.40, 6, 0.50, 0.07, 0.75, 3, 120),
@@ -90,6 +114,10 @@ func suite() []Benchmark {
 		mk("lusearch", true, 543, 43573214, 3.2, 290000, 350000, 108, 1.80, 3, 0.60, 0.03, 0.60, 6, 90),
 		mk("pmd", false, 1876, 12543579, 3.5, 250000, 500000, 109, 1.40, 5, 0.50, 0.08, 0.80, 3, 115),
 	}
+	for i := range bs {
+		bs[i].shared = &suiteShared[i]
+	}
+	return bs
 }
 
 // Suite returns the nine benchmarks in Table 1 order.
@@ -115,48 +143,61 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("dacapo: unknown benchmark %q (have %v)", name, Names())
 }
 
-// Load generates the benchmark's trace and timing profile. scale multiplies
-// ScaledLength; it is clamped to [1 call, FullLength]. Load(1) is the
-// default experimental size.
-func (b Benchmark) Load(scale float64) (*Workload, error) {
+// genConfig returns the generator configuration for scale: ScaledLength
+// times scale calls, clamped to [minLen, FullLength].
+func (b Benchmark) genConfig(scale float64, minLen int) (trace.GenConfig, error) {
 	if scale <= 0 {
-		return nil, fmt.Errorf("dacapo: scale must be positive, got %g", scale)
+		return trace.GenConfig{}, fmt.Errorf("dacapo: scale must be positive, got %g", scale)
 	}
 	gen := b.gen
-	gen.Length = int(float64(b.ScaledLength) * scale)
-	if gen.Length > b.FullLength {
-		gen.Length = b.FullLength
+	gen.Length = max(min(int(float64(b.ScaledLength)*scale), b.FullLength), minLen)
+	return gen, nil
+}
+
+// Load generates the benchmark's trace and timing profile. scale multiplies
+// ScaledLength; it is clamped to [1 call, FullLength]. Load(1) is the
+// default experimental size. The profile is shared; see Workload.Profile.
+func (b Benchmark) Load(scale float64) (*Workload, error) { return b.LoadPrefix(scale, 0) }
+
+// LoadPrefix is Load(scale) with the trace cut to its first maxCalls calls
+// (maxCalls <= 0 keeps all of them). Only the prefix is generated, so a
+// caller that keeps maxCalls of a long trace pays for maxCalls; the calls are
+// bit-identical to Load's.
+func (b Benchmark) LoadPrefix(scale float64, maxCalls int) (*Workload, error) {
+	gen, err := b.genConfig(scale, 1)
+	if err != nil {
+		return nil, err
 	}
-	if gen.Length < 1 {
-		gen.Length = 1
+	n := gen.Length
+	if maxCalls > 0 && maxCalls < n {
+		n = maxCalls
 	}
 	var tr *trace.Trace
-	var err error
 	if b.Parallel {
-		tr, err = b.generateParallel(gen)
+		tr, err = generateParallel(gen, n)
 	} else {
-		tr, err = trace.Generate(gen)
+		tr, err = trace.GeneratePrefix(gen, n)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
 	}
-	p, err := profile.Synthesize(b.Funcs, b.timing)
+	p, err := b.profile()
 	if err != nil {
 		return nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
 	}
 	return &Workload{Bench: b, Trace: tr, Profile: p}, nil
 }
 
-// threadTraces builds per-thread call sequences: the main thread carries the
-// warmup (class loading happens once), worker threads run the steady
-// workload; all share the program structure.
-func threadTraces(gen trace.GenConfig, threads int) ([]*trace.Trace, error) {
+// threadConfigs splits a generator configuration into per-thread ones: the
+// main thread carries the warmup (class loading happens once), worker
+// threads run the steady workload; all share the program structure.
+func threadConfigs(gen trace.GenConfig, threads int) []trace.GenConfig {
 	baseDraw := gen.DrawSeed
 	if baseDraw == 0 {
 		baseDraw = gen.Seed
 	}
-	per := make([]*trace.Trace, threads)
-	for t := 0; t < threads; t++ {
+	per := make([]trace.GenConfig, threads)
+	for t := range per {
 		g := gen
 		g.Length = gen.Length / threads
 		if t == 0 {
@@ -165,54 +206,54 @@ func threadTraces(gen trace.GenConfig, threads int) ([]*trace.Trace, error) {
 			g.WarmupFrac = 0 // workers load no classes
 		}
 		g.DrawSeed = baseDraw + int64(t+1)*131
-		tt, err := trace.Generate(g)
+		per[t] = g
+	}
+	return per
+}
+
+// generateParallel builds the first n calls of a multithreaded benchmark's
+// trace as the paper's collection framework does (§6.1): per-thread call
+// sequences flattened into one, in rough invocation-timing order. Each
+// thread generates only the calls an n-call prefix can take from it.
+func generateParallel(gen trace.GenConfig, n int) (*trace.Trace, error) {
+	cfgs := threadConfigs(gen, 4)
+	per := make([]*trace.Trace, len(cfgs))
+	lens := make([]int, len(cfgs))
+	for t, g := range cfgs {
+		tt, err := trace.GeneratePrefix(g, n)
 		if err != nil {
 			return nil, err
 		}
-		per[t] = tt
-	}
-	return per, nil
-}
-
-// generateParallel builds a multithreaded benchmark's trace as the paper's
-// collection framework does (§6.1): per-thread call sequences flattened into
-// one, in rough invocation-timing order.
-func (b Benchmark) generateParallel(gen trace.GenConfig) (*trace.Trace, error) {
-	per, err := threadTraces(gen, 4)
-	if err != nil {
-		return nil, err
+		per[t], lens[t] = tt, g.Length
 	}
 	baseDraw := gen.DrawSeed
 	if baseDraw == 0 {
 		baseDraw = gen.Seed
 	}
-	return trace.Interleave(baseDraw+977, per...)
+	return trace.InterleavePrefix(baseDraw+977, lens, n, per...)
 }
 
 // LoadThreads generates the benchmark as per-thread call sequences for
 // multi-threaded simulation (sim.RunPolicyMT), instead of the flattened
 // single sequence the paper's model uses. Any benchmark can be loaded this
-// way; thread 0 carries the warmup.
+// way; thread 0 carries the warmup. The profile is shared; see
+// Workload.Profile.
 func (b Benchmark) LoadThreads(scale float64, threads int) ([]*trace.Trace, *profile.Profile, error) {
-	if scale <= 0 {
-		return nil, nil, fmt.Errorf("dacapo: scale must be positive, got %g", scale)
+	gen, err := b.genConfig(scale, threads)
+	if err != nil {
+		return nil, nil, err
 	}
 	if threads < 1 {
 		return nil, nil, fmt.Errorf("dacapo: thread count must be >= 1, got %d", threads)
 	}
-	gen := b.gen
-	gen.Length = int(float64(b.ScaledLength) * scale)
-	if gen.Length > b.FullLength {
-		gen.Length = b.FullLength
+	cfgs := threadConfigs(gen, threads)
+	per := make([]*trace.Trace, len(cfgs))
+	for t, g := range cfgs {
+		if per[t], err = trace.Generate(g); err != nil {
+			return nil, nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
+		}
 	}
-	if gen.Length < threads {
-		gen.Length = threads
-	}
-	per, err := threadTraces(gen, threads)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
-	}
-	p, err := profile.Synthesize(b.Funcs, b.timing)
+	p, err := b.profile()
 	if err != nil {
 		return nil, nil, fmt.Errorf("dacapo: %s: %w", b.Name, err)
 	}
@@ -227,19 +268,42 @@ func (b Benchmark) LoadRun(scale float64, run int) (*Workload, error) {
 	if run < 0 {
 		return nil, fmt.Errorf("dacapo: run index must be non-negative, got %d", run)
 	}
-	variant := b
+	return b.run(run).LoadPrefix(scale, 0)
+}
+
+// run returns the benchmark as it behaves on input run: same program
+// structure (same Seed), so only the stochastic draws change.
+func (b Benchmark) run(run int) Benchmark {
 	if run > 0 {
-		// Same program structure (same Seed), different input: only the
-		// stochastic draws change.
-		variant.gen.DrawSeed = b.seed + int64(run)*7919
+		b.gen.DrawSeed = b.seed + int64(run)*7919
 	}
-	return variant.Load(scale)
+	return b
+}
+
+// profile returns the benchmark's timing profile: the shared one for a suite
+// benchmark, built on first use.
+func (b Benchmark) profile() (*profile.Profile, error) {
+	sh := b.shared
+	if sh == nil {
+		return profile.Synthesize(b.Funcs, b.timing)
+	}
+	sh.profileOnce.Do(func() { sh.profile, sh.profileErr = profile.Synthesize(b.Funcs, b.timing) })
+	return sh.profile, sh.profileErr
 }
 
 // DefaultModel returns the workload's default (Jikes-like, estimated)
-// cost-benefit model, deterministic per benchmark.
+// cost-benefit model, deterministic per benchmark. A workload carrying its
+// suite benchmark's shared profile gets the shared model, built once; like
+// the profile it is read-only.
 func (w *Workload) DefaultModel() *profile.Estimated {
-	return profile.NewEstimated(w.Profile, profile.DefaultEstimatedConfig(w.Bench.seed+2))
+	cfg := profile.DefaultEstimatedConfig(w.Bench.seed + 2)
+	if sh := w.Bench.shared; sh != nil {
+		if p, err := w.Bench.profile(); err == nil && p == w.Profile {
+			sh.modelOnce.Do(func() { sh.model = profile.NewEstimated(p, cfg) })
+			return sh.model
+		}
+	}
+	return profile.NewEstimated(w.Profile, cfg)
 }
 
 // Oracle returns the oracle cost-benefit model of §6.2.2.

@@ -172,10 +172,12 @@ func (sh *cacheShard) trimLocked() {
 // complete publishes the leader's result and wakes all waiters. On error the
 // entry is evicted (waiters already holding it still observe the error);
 // on success it becomes eviction-eligible and the shard trims back within
-// capacity.
+// capacity. The shard is updated before ready closes, so a woken waiter that
+// asks for the same key again finds a completed entry (a hit) or, after an
+// error, none — never the in-flight entry it just waited on.
 func (c *shardedCache) complete(key string, e *cacheEntry, body []byte, err error) {
 	e.body, e.err = body, err
-	close(e.ready)
+	defer close(e.ready)
 	sh := c.shardFor(key)
 	if sh == nil {
 		return

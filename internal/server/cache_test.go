@@ -246,3 +246,41 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCacheCompletePublishesBeforeWake is the regression for a waiter woken
+// by complete() and asking for the same key again before the shard recorded
+// the completion: it was told "coalesced" onto an entry already done. Each
+// round parks a follower on a fresh leader's entry, completes the entry from
+// another goroutine, and re-begins the key from the follower the moment it
+// wakes. A success must then be a hit every time; an error must have left
+// the cache, so the re-begin leads. Run under -race (the full suite is).
+func TestCacheCompletePublishesBeforeWake(t *testing.T) {
+	const rounds = 2000
+	c := newShardedCache(64)
+	for i := 0; i < rounds; i++ {
+		key := fmt.Sprintf("fp-%d", i)
+		e, state := c.begin(key)
+		if state != beginLead {
+			t.Fatalf("round %d: first begin = %v, want lead", i, state)
+		}
+		w, state := c.begin(key)
+		if state != beginCoalesced || w != e {
+			t.Fatalf("round %d: second begin = %v, want coalesced on the leader's entry", i, state)
+		}
+		var err error
+		if i%4 == 3 {
+			err = fmt.Errorf("compute %d failed", i)
+		}
+		go c.complete(key, e, []byte("body"), err)
+		<-w.ready
+		again, state := c.begin(key)
+		switch {
+		case err == nil && state != beginHit:
+			t.Fatalf("round %d: re-begin after success = %v, want hit", i, state)
+		case err != nil && state != beginLead:
+			t.Fatalf("round %d: re-begin after error = %v, want lead", i, state)
+		case err != nil:
+			c.complete(key, again, []byte("body"), nil)
+		}
+	}
+}

@@ -335,7 +335,8 @@ func (req *ScheduleRequest) contentHash() uint64 {
 // loaded at the requested scale, or the inline payload validated into the
 // library types. MaxCalls truncation happens here so everything downstream
 // (fingerprint excepted — it already encodes MaxCalls) sees the final
-// instance.
+// instance; a corpus entry generates only its first MaxCalls calls, and its
+// profile is the benchmark's shared one.
 func (req *ScheduleRequest) workload() (*dacapo.Workload, error) {
 	var w *dacapo.Workload
 	if req.Bench != "" {
@@ -347,7 +348,7 @@ func (req *ScheduleRequest) workload() (*dacapo.Workload, error) {
 		if scale == 0 {
 			scale = 1.0
 		}
-		w, err = b.Load(scale)
+		w, err = b.LoadPrefix(scale, req.MaxCalls)
 		if err != nil {
 			return nil, badRequest("loading %s: %v", req.Bench, err)
 		}
@@ -371,14 +372,14 @@ func (req *ScheduleRequest) workload() (*dacapo.Workload, error) {
 		if name == "" {
 			name = "inline"
 		}
+		if req.MaxCalls > 0 && req.MaxCalls < tr.Len() {
+			tr = tr.Slice(0, req.MaxCalls)
+		}
 		w = &dacapo.Workload{
 			Bench:   dacapo.Benchmark{Name: name, Funcs: p.NumFuncs(), SamplePeriod: customSamplePeriod},
 			Trace:   tr,
 			Profile: p,
 		}
-	}
-	if req.MaxCalls > 0 && req.MaxCalls < w.Trace.Len() {
-		w.Trace = w.Trace.Slice(0, req.MaxCalls)
 	}
 	return w, nil
 }

@@ -81,9 +81,22 @@ func (c *GenConfig) Validate() error {
 }
 
 // Generate produces a deterministic synthetic trace for the configuration.
-func Generate(cfg GenConfig) (*Trace, error) {
+func Generate(cfg GenConfig) (*Trace, error) { return GeneratePrefix(cfg, cfg.Length) }
+
+// GeneratePrefix returns the first n calls of Generate(cfg) — all of them
+// when n >= cfg.Length — and stops drawing there, so a caller that keeps only
+// a prefix pays only for the prefix. The warmup and phase lengths still
+// derive from cfg.Length, which is what keeps the prefix bit-identical to the
+// full trace's.
+func GeneratePrefix(cfg GenConfig, n int) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("trace: prefix length must be non-negative, got %d", n)
+	}
+	if n > cfg.Length {
+		n = cfg.Length
 	}
 	structRng := rand.New(rand.NewSource(cfg.Seed))
 	drawSeed := cfg.DrawSeed
@@ -114,7 +127,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		coreZipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(core)-1))
 	}
 
-	calls := make([]FuncID, 0, cfg.Length)
+	calls := make([]FuncID, 0, n)
 
 	// Warmup segment: introduce most functions early, one or two calls
 	// each, interleaved with draws from the core set — the first-appearance
@@ -123,7 +136,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	if warmupLen > 0 {
 		introduce := perm[:int(cfg.WarmupCoverage*float64(len(perm)))]
 		next := 0
-		for emitted := 0; emitted < warmupLen && len(calls) < cfg.Length; emitted++ {
+		for emitted := 0; emitted < warmupLen && len(calls) < n; emitted++ {
 			// Pace introductions evenly through the segment; the remaining
 			// slots go to the already-live core set.
 			due := len(introduce) * (emitted + 1) / warmupLen
@@ -140,15 +153,17 @@ func Generate(cfg GenConfig) (*Trace, error) {
 		}
 	}
 
-	steady := cfg.Length - len(calls)
-	for p := 0; p < cfg.Phases && len(calls) < cfg.Length; p++ {
+	// Every warmup slot emits one call, and warmupLen <= cfg.Length, so the
+	// full trace's steady part is exactly what the warmup leaves.
+	steady := cfg.Length - warmupLen
+	for p := 0; p < cfg.Phases && len(calls) < n; p++ {
 		phaseLen := steady*(p+1)/cfg.Phases - steady*p/cfg.Phases
 		set := phaseSets[p]
 		var phaseZipf *rand.Zipf
 		if len(set) > 0 {
 			phaseZipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(set)-1))
 		}
-		for emitted := 0; emitted < phaseLen; {
+		for emitted := 0; emitted < phaseLen && len(calls) < n; {
 			var f int
 			switch {
 			case coreZipf != nil && (phaseZipf == nil || rng.Float64() < cfg.CoreShare):
@@ -165,7 +180,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 					burst++
 				}
 			}
-			for k := 0; k < burst && emitted < phaseLen; k++ {
+			for k := 0; k < burst && emitted < phaseLen && len(calls) < n; k++ {
 				calls = append(calls, FuncID(f))
 				emitted++
 			}

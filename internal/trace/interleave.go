@@ -14,23 +14,48 @@ import (
 // which "roughly corresponds to the invocation timing order by those
 // threads" (§6.1).
 func Interleave(seed int64, threads ...*Trace) (*Trace, error) {
+	lens := make([]int, len(threads))
+	total := 0
+	for i, t := range threads {
+		lens[i] = t.Len()
+		total += lens[i]
+	}
+	return InterleavePrefix(seed, lens, total, threads...)
+}
+
+// InterleavePrefix returns the first n calls of Interleave over threads whose
+// full lengths are lens. The interleaving is driven by those full lengths, so
+// the prefix is bit-identical to the full result's, but threads[i] need hold
+// only its first min(n, lens[i]) calls: no thread can contribute more than n
+// calls to an n-call prefix.
+func InterleavePrefix(seed int64, lens []int, n int, threads ...*Trace) (*Trace, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("trace: Interleave needs at least one thread")
 	}
+	if len(lens) != len(threads) {
+		return nil, fmt.Errorf("trace: InterleavePrefix got %d lengths for %d threads", len(lens), len(threads))
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("trace: prefix length must be non-negative, got %d", n)
+	}
+	total := 0
+	for i, t := range threads {
+		if lens[i] < 0 || t.Len() < min(n, lens[i]) {
+			return nil, fmt.Errorf("trace: thread %d of full length %d holds %d calls, too few for a %d-call prefix",
+				i, lens[i], t.Len(), n)
+		}
+		total += lens[i]
+	}
+	n = min(n, total)
 	name := threads[0].Name
 	if len(threads) == 1 {
-		return threads[0].Clone(), nil
+		return threads[0].Slice(0, n).Clone(), nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	total := 0
 	pos := make([]int, len(threads))
-	remaining := make([]int, len(threads))
-	for i, t := range threads {
-		remaining[i] = t.Len()
-		total += t.Len()
-	}
-	out := &Trace{Name: name, Calls: make([]FuncID, 0, total)}
-	for total > 0 {
+	remaining := append([]int(nil), lens...)
+	out := &Trace{Name: name, Calls: make([]FuncID, 0, n)}
+	for len(out.Calls) < n {
 		// Pick a thread with probability proportional to its remaining
 		// calls, so long threads do not all bunch at the end.
 		r := rng.Intn(total)
@@ -46,7 +71,7 @@ func Interleave(seed int64, threads ...*Trace) (*Trace, error) {
 		// Emit a small burst from the chosen thread: threads run in slices,
 		// not single calls.
 		burst := 1 + rng.Intn(8)
-		for k := 0; k < burst && remaining[ti] > 0; k++ {
+		for k := 0; k < burst && remaining[ti] > 0 && len(out.Calls) < n; k++ {
 			out.Calls = append(out.Calls, t.Calls[pos[ti]])
 			pos[ti]++
 			remaining[ti]--
