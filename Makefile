@@ -66,18 +66,19 @@ bench:
 
 # The allocation and search-node budgets: with the recorder disabled, the
 # simulator's execution loop must not allocate at all; a warm sim.Evaluator
-# and a warm serial BnB searcher must be allocation-free; a warm arena-backed
-# IAR run must stay at or under 50 allocations and well under the committed
-# pre-arena bytes-per-op (TestIARArenaAllocGuard gates both from the root
-# BenchmarkIAR path); and branch-and-bound must prove optimality on the
-# 8-function study instance well inside DefaultMaxNodes. The tests assert the
+# and a warm serial BnB searcher must be allocation-free; a cold
+# sim.Evaluator keeps at most 8 bytes per call (TestEvaluatorPerCallBytes); a
+# warm arena-backed IAR run must stay at or under 50 allocations and well
+# under the committed pre-arena bytes-per-op (TestIARArenaAllocGuard gates
+# both from the root BenchmarkIAR path); and branch-and-bound must prove
+# optimality on the 8-function study instance well inside DefaultMaxNodes. The tests assert the
 # budgets; the benchmark runs print the numbers for the log. The exact-solver
 # pair gates the oracle the same way: a warm Solver stays under its small
 # allocation ceiling, and two identical solves are bit-identical. A warm
 # 2000-call corpus prefix load must stay under 64 KiB, so generating a whole
 # trace only to truncate it (a scale-1 antlr trace alone is ~940 KB) fails.
 bench-guard:
-	$(GO) test -run='TestDisabledRecorderZeroAlloc|TestRecorderDisabledZeroAlloc|TestEvaluatorZeroAlloc' -count=1 \
+	$(GO) test -run='TestDisabledRecorderZeroAlloc|TestRecorderDisabledZeroAlloc|TestEvaluatorZeroAlloc|TestEvaluatorPerCallBytes' -count=1 \
 		./internal/obs/ ./internal/sim/
 	$(GO) test -run='TestBnBWarmZeroAlloc|TestBnBWarmZeroAllocCancellable|TestBnBNodeBudgetGuard' -count=1 ./internal/astar/
 	$(GO) test -run='TestSolverWarmAllocs|TestSolveDeterminism' -count=1 ./internal/exact/

@@ -122,19 +122,33 @@ func loadBench(b *testing.B, name string) *dacapo.Workload {
 }
 
 // BenchmarkIAR measures the scheduling algorithm itself (the quantity of
-// Table 2), per workload.
+// Table 2), per workload. /warm holds one arena across iterations, the
+// steady state of a long-lived caller; /cold builds a fresh arena per
+// iteration, so every buffer is sized anew. Each reads a deterministic B/op,
+// which the pooled core.IAR wrapper does not: it is warm or cold depending
+// on whether a garbage collection emptied the pool.
 func BenchmarkIAR(b *testing.B) {
-	for _, name := range []string{"antlr", "eclipse", "lusearch"} {
-		b.Run(name, func(b *testing.B) {
-			w := loadBench(b, name)
-			model := w.DefaultModel()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.IAR(w.Trace, w.Profile, core.IAROptions{Model: model}); err != nil {
+	for _, mode := range []string{"warm", "cold"} {
+		for _, name := range []string{"antlr", "eclipse", "lusearch"} {
+			b.Run(mode+"/"+name, func(b *testing.B) {
+				w := loadBench(b, name)
+				opts := core.IAROptions{Model: w.DefaultModel()}
+				arena := core.NewIARArena()
+				if _, err := arena.IAR(w.Trace, w.Profile, opts); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if mode == "cold" {
+						arena = core.NewIARArena()
+					}
+					if _, err := arena.IAR(w.Trace, w.Profile, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -107,27 +107,27 @@ func (a *IARArena) bind(tr *trace.Trace, p *profile.Profile) error {
 }
 
 // initN1 runs the low-level init schedule (every function in first-appearance
-// order) through the arena's evaluator once and returns the per-function
-// count of calls issued while that schedule is still compiling — Formula 2's
-// f.n1. IAR and ClassifyIAR share this pass; it is the only recorded-calls
-// scan step 2 needs.
+// order) through the arena's evaluator and returns the per-function count of
+// calls issued while that schedule is still compiling — Formula 2's f.n1.
+// The simulation stops at the first call that starts at or after the
+// schedule's compile end: starts never decrease, so the calls before it are
+// exactly the ones counted, the planner's frontier rule. IAR and ClassifyIAR
+// share this pass.
 func (a *IARArena) initN1(tr *trace.Trace, nf int, order []trace.FuncID, low profile.Level) ([]int64, error) {
 	s := a.initSched[:0]
 	for _, f := range order {
 		s = append(s, sim.CompileEvent{Func: f, Level: low})
 	}
 	a.initSched = s
-	res, err := a.eval.Run(s, sim.DefaultConfig(), sim.Options{RecordCalls: true})
+	starts, err := a.eval.StartsBeforeCompileEnd(s, sim.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	n1 := arenaGrow(a.n1, nf)
 	a.n1 = n1
 	clear(n1)
-	for i, f := range tr.Calls {
-		if res.CallStarts[i] < res.CompileEnd {
-			n1[f]++
-		}
+	for _, f := range tr.Calls[:len(starts)] {
+		n1[f]++
 	}
 	return n1, nil
 }
@@ -192,8 +192,8 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 		return nil, err
 	}
 
-	// Steps 1 and 2a (init + n1): one recorded-calls pass over the low-level
-	// init schedule yields Formula 2's per-function n1.
+	// Steps 1 and 2a (init + n1): one pass over the low-level init schedule,
+	// up to its compile end, yields Formula 2's per-function n1.
 	n1, err := a.initN1(tr, p.NumFuncs(), order, opts.LowLevel)
 	if err != nil {
 		return nil, err
@@ -242,24 +242,26 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 	// the replacements save, so the step is applied transactionally: keep
 	// the replacements only if a re-evaluation confirms they did not regress
 	// the make-span.
-	// gapRes, when non-nil, is a still-valid recorded run of the current
-	// schedule that step 4 can reuse instead of re-simulating. Step 3's entry
-	// run qualifies exactly when step 3 ends up changing nothing: the schedule
-	// is the one it simulated and no evaluator call has clobbered the result —
-	// the "identical schedule" delta shape, answered with zero re-simulation.
+	// gapRes, when non-nil, is a still-valid run of the current schedule —
+	// its Result and the evaluator's call starts — that step 4 can reuse
+	// instead of re-simulating. Step 3's entry run qualifies exactly when
+	// step 3 ends up changing nothing: the schedule is the one it simulated
+	// and no evaluator call has clobbered the result — the "identical
+	// schedule" delta shape, answered with zero re-simulation.
 	var gapRes *sim.Result
 	if !opts.DisableFillSlack {
-		res, err := a.eval.Run(sched, sim.DefaultConfig(), sim.Options{RecordCalls: true})
+		res, err := a.eval.Run(sched, sim.DefaultConfig(), sim.Options{})
 		if err != nil {
 			return nil, err
 		}
 		// Consume the result before the verification pass reuses the arena.
 		baseSpan := res.MakeSpan
 		firstCalls := tr.FirstCalls()
+		starts := a.eval.CallStarts()
 		slack := arenaGrow(a.slack, len(funcs)) // indexed by init position
 		a.slack = slack
 		for i := range funcs {
-			slack[i] = res.CallStarts[firstCalls[funcs[i].f]] - res.Compiles[i].Done
+			slack[i] = starts[firstCalls[funcs[i].f]] - res.Compiles[i].Done
 		}
 		// suffMin[i] = min slack over positions >= i.
 		suffMin := arenaGrow(a.suffMin, len(funcs)+1)
@@ -332,7 +334,7 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 		res := gapRes
 		if res == nil {
 			var err error
-			res, err = a.eval.Run(sched, sim.DefaultConfig(), sim.Options{RecordCalls: true})
+			res, err = a.eval.Run(sched, sim.DefaultConfig(), sim.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -352,10 +354,10 @@ func (a *IARArena) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Sc
 			lateCalls := arenaGrow(a.lateCalls, p.NumFuncs())
 			a.lateCalls = lateCalls
 			clear(lateCalls)
-			for i, f := range tr.Calls {
-				if res.CallStarts[i] >= res.CompileEnd {
-					lateCalls[f]++
-				}
+			// Starts never decrease: the late calls are a suffix.
+			late, _ := slices.BinarySearch(a.eval.CallStarts(), res.CompileEnd)
+			for _, f := range tr.Calls[late:] {
+				lateCalls[f]++
 			}
 			cands := a.cands[:0]
 			for i := range funcs {

@@ -92,12 +92,11 @@ type IARPlanner struct {
 	lateCand []int64
 
 	// Rebuild and step-4 scratch.
-	slack    []int64
-	suffMin  []int64
-	removed  []bool
-	maxLevel []profile.Level
-	cands    []int32
-	plan     Schedule
+	slack   []int64
+	suffMin []int64
+	removed []bool
+	cands   []int32
+	plan    Schedule
 
 	replans     int64
 	fastReplans int64
@@ -141,8 +140,16 @@ func NewIARPlanner(p *profile.Profile, opts IAROptions) (*IARPlanner, error) {
 		touched:   make([]bool, nf),
 		lateBase:  make([]int64, nf),
 		lateCand:  make([]int64, nf),
-		maxLevel:  make([]profile.Level, nf),
 		initSim:   initSim, sched2Sim: sched2Sim, candSim: candSim,
+		// Sized once for the profile, so a growing prefix reallocates
+		// nothing while replanning: a function appears once in the order
+		// and at most twice in any IAR schedule.
+		order:   make([]trace.FuncID, 0, nf),
+		funcs:   make([]iarFunc, 0, nf),
+		slack:   make([]int64, 0, nf),
+		suffMin: make([]int64, 0, nf+1),
+		sched2:  make(Schedule, 0, 2*nf),
+		plan:    make(Schedule, 0, 2*nf),
 	}
 	for f := range pl.firstCall {
 		pl.firstCall[f] = -1
@@ -402,7 +409,11 @@ func (pl *IARPlanner) resim(s *sim.PrefixSim, sched Schedule, calls []trace.Func
 		return err
 	}
 	clear(late)
-	accrueLate(s, late, 0, calls)
+	// Starts never decrease: the late calls are a suffix.
+	k, _ := slices.BinarySearch(s.CallStarts(), s.CompileEnd())
+	for _, f := range calls[k:] {
+		late[f]++
+	}
 	return nil
 }
 
@@ -418,19 +429,14 @@ func (pl *IARPlanner) finishPlan() Schedule {
 	if !pl.opts.DisableFillGap {
 		tgap := finalSim.MakeSpan() - finalSim.CompileEnd()
 		if tgap > 0 {
-			maxLevel := pl.maxLevel
-			for _, f := range pl.order {
-				maxLevel[f] = -1
-			}
-			for _, ev := range final {
-				if ev.Level > maxLevel[ev.Func] {
-					maxLevel[ev.Func] = ev.Level
-				}
-			}
+			// Every non-'O' function reaches its high level in either
+			// final schedule (at init for 'R' and chosen 'A', appended for
+			// the other 'A'), so only an 'O' function's highest scheduled
+			// level, low, can lie below high.
 			cands := pl.cands[:0]
 			for i := range pl.funcs {
 				ff := &pl.funcs[i]
-				if maxLevel[ff.f] < ff.high && late[ff.f] > 0 {
+				if ff.class == 'O' && ff.low < ff.high && late[ff.f] > 0 {
 					cands = append(cands, int32(i))
 				}
 			}

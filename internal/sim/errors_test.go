@@ -11,23 +11,30 @@ import (
 
 // TestRunCallsNoReadyVersion is the regression test for the former
 // latestAt panic: a schedule that executes before any compilation of the
-// called function finishes must surface as a structured *ErrNoReadyVersion
-// carrying the function and the time, not crash.
+// called function finishes must surface from the exec kernel as a
+// structured *ErrNoReadyVersion carrying the function and the time, not
+// crash — both before the compile end and in the settled tail.
 func TestRunCallsNoReadyVersion(t *testing.T) {
 	p, err := profile.Synthesize(2, profile.DefaultTiming(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New("inconsistent", []trace.FuncID{1, 0})
-	// Function 1 has a version from tick 0 on; function 0 was never
-	// compiled, so its call can never start.
-	versions := make([]versionList, 2)
-	versions[1].insert(0, 0)
-	res := &Result{}
-	err = runCalls(tr, p, versions, res, Options{})
-	if err == nil {
-		t.Fatal("runCalls accepted a call to a never-compiled function")
+	// Function 1 is compiled; function 0 never is, so its call can never
+	// start. Calls {0, 1} reach it at time 0, before the compile end; calls
+	// {1, 0} reach it in the settled tail.
+	tb, c := kernelFor(t, p, Schedule{{Func: 1, Level: 0}})
+	for _, calls := range [][]trace.FuncID{{0, 1}, {1, 0}} {
+		x := execLoop{c: c, t: tb}
+		err = x.run(calls, 0)
+		if err == nil {
+			t.Fatalf("calls %v: kernel accepted a call to a never-compiled function", calls)
+		}
+		checkNoReadyVersion(t, err)
 	}
+}
+
+func checkNoReadyVersion(t *testing.T, err error) {
+	t.Helper()
 	var nrv *ErrNoReadyVersion
 	if !errors.As(err, &nrv) {
 		t.Fatalf("error %T is not *ErrNoReadyVersion: %v", err, err)

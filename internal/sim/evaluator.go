@@ -2,32 +2,29 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
-// Evaluator is the allocation-free fast path for repeated static-schedule
-// simulation over one (trace, profile) pair — the inner loop behind IAR's
-// passes, the beam/A* searches, and the experiment harnesses, all of which
-// evaluate thousands of schedules against the same workload.
+// Evaluator is the static-schedule simulator for repeated evaluation over
+// one (trace, profile) pair — the inner loop behind IAR's passes, the
+// searches, and the experiment harnesses. sim.Run is a pooled Evaluator.
 //
-// Construction precomputes everything derivable from the trace and profile
-// alone: the flattened per-function/per-level compile and exec time tables
-// (one slice index instead of two pointer hops), and the trace's memoized
-// indices. Run then reuses zeroed scratch buffers — version lists, the
-// compile worker pool, the per-call records, the Result itself — so that
-// after the first call (the warm-up that sizes the arenas) a Run performs no
-// heap allocation at all. TestEvaluatorZeroAlloc holds it to that.
+// Construction validates and flattens the profile. Run builds the
+// schedule's compile side and runs the trace through the one make-span
+// kernel (execLoop), which stores only each call's start; Result.CallLevels
+// is filled in a post-pass, only under Options.RecordCalls. After the first
+// Run sizes the arenas, a Run performs no heap allocation
+// (TestEvaluatorZeroAlloc, TestEvaluatorPerCallBytes).
 //
 // # Identical-results contract
 //
-// Evaluator.Run computes exactly what sim.Run computes: same Result fields,
-// same error values, same Recorder event stream, tick for tick. The fast
-// path changes how the numbers are computed, never which numbers. The
-// differential tests in evaluator_test.go pin this across the fuzz seed
-// corpus.
+// Evaluator.Run computes exactly what the per-call reference loop in
+// reference_test.go computes: same Result fields, same error values, same
+// Recorder event stream, tick for tick (evaluator_test.go).
 //
 // # Delta evaluation
 //
@@ -46,27 +43,18 @@ import (
 // evaluator per worker. Results returned by Run alias the evaluator's arena
 // and are valid only until the next Run/MakeSpanOf call.
 type Evaluator struct {
-	tr     *trace.Trace
-	p      *profile.Profile
-	nf     int
-	levels int
-	// compile[f*levels+l] and exec[f*levels+l] flatten the profile tables.
-	compile []int64
-	exec    []int64
+	tr *trace.Trace
+	t  tables
 
 	// Per-run scratch, reused across Run calls.
-	versions   []versionList
+	c          compiled
 	pool       workerPool
 	res        Result
 	compiles   []CompileRecord
 	firstReady []int64
-	compiled   []bool
-
-	// Per-call records of the last Run; always filled (they double as the
-	// delta baseline), exposed on the Result only under Options.RecordCalls.
-	callStarts []int64
-	callEnds   []int64
-	callLevels []profile.Level
+	isCompiled []bool
+	starts     []int64 // every call's start in the last Run: the delta baseline
+	levels     []profile.Level
 
 	// Baseline of the last successful Run, for delta evaluation.
 	baseValid bool
@@ -76,15 +64,15 @@ type Evaluator struct {
 	baseSpan  int64
 
 	// Delta scratch: the edited schedule's compile side is rebuilt here so
-	// the baseline's version lists stay untouched.
-	dVersions []versionList
-	dPool     workerPool
+	// the baseline's stays untouched.
+	d     compiled
+	dPool workerPool
 
 	runs int64
 }
 
 // NewEvaluator builds an evaluator for the trace/profile pair. The trace is
-// treated as immutable from here on (its derived indices are memoized).
+// treated as immutable from here on.
 func NewEvaluator(tr *trace.Trace, p *profile.Profile) (*Evaluator, error) {
 	e := &Evaluator{}
 	if err := e.Reset(tr, p); err != nil {
@@ -96,167 +84,65 @@ func NewEvaluator(tr *trace.Trace, p *profile.Profile) (*Evaluator, error) {
 
 // Reset rebinds the evaluator to a new (trace, profile) pair, reusing every
 // arena whose capacity already suffices — the flattened time tables, the
-// version lists (including their inner storage), the per-call records, and
-// the worker pools. It performs the same validation, with the same error
+// version lists (including their inner storage), the call starts, and the
+// worker pools. It performs the same validation, with the same error
 // strings, as NewEvaluator; on error the evaluator is left unusable until a
 // successful Reset. Any delta baseline is discarded. This is what lets a
 // long-lived arena (e.g. core's IAR arena, the online replanner) follow a
 // growing visible prefix without reallocating its buffers each rebind.
 func (e *Evaluator) Reset(tr *trace.Trace, p *profile.Profile) error {
-	nf, levels := p.NumFuncs(), p.Levels
 	e.baseValid = false
-	if levels <= 0 {
-		return fmt.Errorf("sim: evaluator needs a profile with positive Levels, got %d", levels)
+	if err := e.t.load(p); err != nil {
+		return err
 	}
-	for f := range p.Funcs {
-		ft := &p.Funcs[f]
-		if len(ft.Compile) != levels || len(ft.Exec) != levels {
-			return fmt.Errorf("sim: evaluator: function %d has %d compile / %d exec levels, want %d",
-				f, len(ft.Compile), len(ft.Exec), levels)
-		}
-	}
-	e.tr, e.p, e.nf, e.levels = tr, p, nf, levels
-	e.compile = growN(e.compile, nf*levels)
-	e.exec = growN(e.exec, nf*levels)
-	e.firstReady = growN(e.firstReady, nf)
-	e.compiled = growN(e.compiled, nf)
-	// Version lists keep their inner done/levels storage when the slice only
-	// changes length; Run truncates each list before use.
-	e.versions = growKeep(e.versions, nf)
-	e.dVersions = growKeep(e.dVersions, nf)
-	if cap(e.callStarts) < tr.Len() {
-		e.callStarts = make([]int64, 0, tr.Len())
-		e.callEnds = make([]int64, 0, tr.Len())
-		e.callLevels = make([]profile.Level, 0, tr.Len())
-	} else {
-		e.callStarts = e.callStarts[:0]
-		e.callEnds = e.callEnds[:0]
-		e.callLevels = e.callLevels[:0]
-	}
-	for f := 0; f < nf; f++ {
-		ft := &p.Funcs[f]
-		for l := 0; l < levels; l++ {
-			e.compile[f*levels+l] = ft.Compile[l]
-			e.exec[f*levels+l] = ft.Exec[l]
-		}
-	}
+	e.tr = tr
+	e.firstReady = growN(e.firstReady, e.t.nf)
+	e.isCompiled = growN(e.isCompiled, e.t.nf)
+	e.starts = growN(e.starts, tr.Len())[:0]
 	return nil
 }
 
 // growN resizes a scratch slice to n elements, reusing the backing array when
 // it is large enough. Callers overwrite (or clear) the contents themselves.
+// It never returns nil, so an empty result reads as empty, not absent.
 func growN[T any](s []T, n int) []T {
-	if cap(s) < n {
+	if s == nil || cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// growKeep resizes a slice of version lists, preserving surviving elements'
-// inner storage (growN would do the same via the backing array; this variant
-// exists to copy the old elements when the backing array must be replaced).
-func growKeep(s []versionList, n int) []versionList {
-	if cap(s) < n {
-		ns := make([]versionList, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
+// reset sizes the pool to w idle workers.
+func (p *workerPool) reset(w int) {
+	p.free = growN(p.free, w)
+	clear(p.free)
 }
 
-// Run replays a static compilation schedule exactly as sim.Run does,
-// reusing the evaluator's arenas. The returned Result is valid until the
-// next call on this evaluator.
+// Run replays a static compilation schedule: every event is available at
+// time zero and goes to the earliest-free of cfg.CompileWorkers workers, in
+// schedule order. It reuses the evaluator's arenas; the returned Result is
+// valid until the next call on this evaluator.
 func (e *Evaluator) Run(sched Schedule, cfg Config, opts Options) (*Result, error) {
-	e.baseValid = false
-	if cfg.CompileWorkers < 1 {
-		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
-	}
-	if err := opts.validate(); err != nil {
+	res, err := e.compileSide(sched, cfg, opts)
+	if err != nil {
 		return nil, err
 	}
-	// Inline schedule validation: the same checks, in the same order, with
-	// the same messages as Schedule.Validate, against the reusable buffer.
-	clear(e.compiled)
-	for i, ev := range sched {
-		if ev.Func < 0 || int(ev.Func) >= e.nf {
-			return nil, fmt.Errorf("sim: schedule event %d references unknown function %d", i, ev.Func)
-		}
-		if ev.Level < 0 || int(ev.Level) >= e.levels {
-			return nil, fmt.Errorf("sim: schedule event %d uses level %d outside [0,%d)", i, ev.Level, e.levels)
-		}
-		e.compiled[ev.Func] = true
+	x := execLoop{c: &e.c, t: &e.t, mag: opts.ExecVariation, seed: opts.ExecVariationSeed,
+		rec: opts.Recorder, intr: opts.Interrupt, record: true, starts: e.starts[:0]}
+	err = x.run(e.tr.Calls, 0)
+	e.starts = x.starts
+	if err != nil {
+		return nil, err
 	}
-	for i, f := range e.tr.Calls {
-		if int(f) >= len(e.compiled) || !e.compiled[f] {
-			return nil, fmt.Errorf("sim: call %d invokes function %d which the schedule never compiles", i, f)
-		}
-	}
-
-	res := &e.res
-	*res = Result{Compiles: e.compiles[:0], FirstReady: e.firstReady}
-	for f := range e.versions {
-		e.versions[f].done = e.versions[f].done[:0]
-		e.versions[f].levels = e.versions[f].levels[:0]
-	}
-	if cap(e.pool.free) < cfg.CompileWorkers {
-		e.pool.free = make([]int64, cfg.CompileWorkers)
-	} else {
-		e.pool.free = e.pool.free[:cfg.CompileWorkers]
-		clear(e.pool.free)
-	}
-
-	rec := opts.Recorder
-	for si, ev := range sched {
-		w, start, done := e.pool.assign(0, e.compile[int(ev.Func)*e.levels+int(ev.Level)])
-		res.Compiles = append(res.Compiles, CompileRecord{Event: ev, Start: start, Done: done, Worker: w})
-		rec.CompileStart(start, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		rec.CompileEnd(done, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		e.versions[ev.Func].insert(done, ev.Level)
-		res.CompileBusy += done - start
-		if done > res.CompileEnd {
-			res.CompileEnd = done
-		}
-	}
-	e.compiles = res.Compiles
-	for f := range e.versions {
-		e.firstReady[f] = e.versions[f].firstReady()
-	}
-
-	starts, ends, lvls := e.callStarts[:0], e.callEnds[:0], e.callLevels[:0]
-	var execT int64
-	for i, f := range e.tr.Calls {
-		start := execT
-		if ready := e.versions[f].firstReady(); ready > start {
-			start = ready
-		}
-		if start > execT {
-			res.TotalBubble += start - execT
-			res.BubbleCount++
-			rec.Stall(execT, start-execT, int32(f), int32(i))
-		}
-		level, ok := e.versions[f].latestAt(start)
-		if !ok {
-			e.callStarts, e.callEnds, e.callLevels = starts, ends, lvls
-			return nil, &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := e.exec[int(f)*e.levels+int(level)]
-		if opts.ExecVariation > 0 {
-			dur = scaleDuration(dur, CallFactor(opts.ExecVariationSeed, i, opts.ExecVariation))
-		}
-		starts = append(starts, start)
-		ends = append(ends, start+dur)
-		lvls = append(lvls, level)
-		rec.ExecStart(start, int32(f), int32(level), int32(i))
-		rec.ExecEnd(start+dur, int32(f), int32(level), int32(i))
-		res.TotalExec += dur
-		execT = start + dur
-	}
-	res.MakeSpan = execT
-	e.callStarts, e.callEnds, e.callLevels = starts, ends, lvls
+	res.MakeSpan = x.execT
+	res.TotalBubble, res.BubbleCount = x.bubble, x.stalls
+	res.TotalExec = x.execT - x.bubble
 	if opts.RecordCalls {
-		res.CallStarts = starts
-		res.CallLevels = lvls
+		e.levels = growN(e.levels, len(x.starts))
+		for i, f := range e.tr.Calls {
+			e.levels[i] = e.c.levelAt(f, x.starts[i])
+		}
+		res.CallStarts, res.CallLevels = x.starts, e.levels
 	}
 
 	e.runs++
@@ -272,6 +158,68 @@ func (e *Evaluator) Run(sched Schedule, cfg Config, opts Options) (*Result, erro
 		e.baseCfg = cfg
 		e.baseOpts = opts
 		e.baseSpan = res.MakeSpan
+	}
+	return res, nil
+}
+
+// StartsBeforeCompileEnd simulates sched like Run with zero Options, but
+// stops at the first call that starts at or after the schedule's compile
+// end, and returns the starts of the calls before it. Since starts never
+// decrease, those are exactly the calls issued while the schedule is still
+// compiling — Formula 2's n1 frontier. The slice aliases the evaluator and
+// is valid until the next call on it; the delta baseline is discarded.
+func (e *Evaluator) StartsBeforeCompileEnd(sched Schedule, cfg Config) ([]int64, error) {
+	if _, err := e.compileSide(sched, cfg, Options{}); err != nil {
+		return nil, err
+	}
+	x := execLoop{c: &e.c, t: &e.t, record: true, starts: e.starts[:0]}
+	_, err := x.general(e.tr.Calls, 0, e.tr.Len(), e.c.end)
+	e.starts = x.starts
+	if err != nil {
+		return nil, err
+	}
+	k, _ := slices.BinarySearch(x.starts, e.c.end)
+	return x.starts[:k], nil
+}
+
+// CallStarts returns the start of every call of the last successful Run, in
+// trace order, mirroring PrefixSim.CallStarts; it does not need
+// Options.RecordCalls. The slice aliases the evaluator and is valid
+// (read-only) until the next Run, MakeSpanOf or StartsBeforeCompileEnd.
+func (e *Evaluator) CallStarts() []int64 { return e.starts }
+
+// compileSide validates the run's inputs and builds the schedule's compile
+// side into the evaluator's arenas, returning the Result with its compile
+// fields filled.
+func (e *Evaluator) compileSide(sched Schedule, cfg Config, opts Options) (*Result, error) {
+	e.baseValid = false
+	if cfg.CompileWorkers < 1 {
+		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if err := sched.validate(e.tr, e.t.levels, e.isCompiled); err != nil {
+		return nil, err
+	}
+
+	res := &e.res
+	*res = Result{Compiles: growN(e.compiles, 0), FirstReady: e.firstReady}
+	e.c.reset(e.t.nf)
+	e.pool.reset(cfg.CompileWorkers)
+	rec := opts.Recorder
+	for si, ev := range sched {
+		w, start, done := e.pool.assign(0, e.t.compile(ev.Func, ev.Level))
+		res.Compiles = append(res.Compiles, CompileRecord{Event: ev, Start: start, Done: done, Worker: w})
+		rec.CompileStart(start, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
+		rec.CompileEnd(done, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
+		e.c.add(&e.t, ev.Func, ev.Level, done)
+		res.CompileBusy += done - start
+	}
+	res.CompileEnd = e.c.end
+	e.compiles = res.Compiles
+	for f := range e.firstReady {
+		e.firstReady[f] = e.c.tab[f].ready
 	}
 	return res, nil
 }
@@ -345,7 +293,7 @@ func (e *Evaluator) diff(sched Schedule) (Edit, int) {
 		if pos < 0 {
 			return Edit{}, diffSame
 		}
-		if sched[pos].Level < 0 || int(sched[pos].Level) >= e.levels {
+		if sched[pos].Level < 0 || int(sched[pos].Level) >= e.t.levels {
 			return Edit{}, diffFar
 		}
 		return Edit{Kind: EditUpgrade, Pos: pos, Event: sched[pos]}, diffEdit
@@ -356,7 +304,7 @@ func (e *Evaluator) diff(sched Schedule) (Edit, int) {
 			}
 		}
 		ev := sched[len(base)]
-		if ev.Func < 0 || int(ev.Func) >= e.nf || ev.Level < 0 || int(ev.Level) >= e.levels {
+		if ev.Func < 0 || int(ev.Func) >= e.t.nf || ev.Level < 0 || int(ev.Level) >= e.t.levels {
 			return Edit{}, diffFar
 		}
 		return Edit{Kind: EditAppend, Event: ev}, diffEdit
@@ -374,8 +322,8 @@ func (e *Evaluator) UpgradedMakeSpan(pos int, level profile.Level) (int64, error
 	if pos < 0 || pos >= len(e.baseSched) {
 		return 0, fmt.Errorf("sim: delta upgrade position %d outside schedule of %d events", pos, len(e.baseSched))
 	}
-	if level < 0 || int(level) >= e.levels {
-		return 0, fmt.Errorf("sim: delta upgrade level %d outside [0,%d)", level, e.levels)
+	if level < 0 || int(level) >= e.t.levels {
+		return 0, fmt.Errorf("sim: delta upgrade level %d outside [0,%d)", level, e.t.levels)
 	}
 	evalCounters.deltaFast.Add(1)
 	return e.editedMakeSpan(Edit{Kind: EditUpgrade, Pos: pos,
@@ -389,11 +337,11 @@ func (e *Evaluator) AppendedMakeSpan(ev CompileEvent) (int64, error) {
 	if !e.baseValid {
 		return 0, fmt.Errorf("sim: evaluator has no baseline run for delta evaluation")
 	}
-	if ev.Func < 0 || int(ev.Func) >= e.nf {
+	if ev.Func < 0 || int(ev.Func) >= e.t.nf {
 		return 0, fmt.Errorf("sim: delta append references unknown function %d", ev.Func)
 	}
-	if ev.Level < 0 || int(ev.Level) >= e.levels {
-		return 0, fmt.Errorf("sim: delta append uses level %d outside [0,%d)", ev.Level, e.levels)
+	if ev.Level < 0 || int(ev.Level) >= e.t.levels {
+		return 0, fmt.Errorf("sim: delta append uses level %d outside [0,%d)", ev.Level, e.t.levels)
 	}
 	evalCounters.deltaFast.Add(1)
 	return e.editedMakeSpan(Edit{Kind: EditAppend, Event: ev})
@@ -409,19 +357,12 @@ func (e *Evaluator) AppendedMakeSpan(ev CompileEvent) (int64, error) {
 // only versions finishing at or before its start — all unchanged — and its
 // start, level, and end are identical in the edited run. The loop therefore
 // resumes at the first baseline call start >= tAffect (binary search; starts
-// are non-decreasing) with the predecessor's end as the exec clock.
+// are non-decreasing) with the predecessor's end as the exec clock: its
+// start plus its duration at the level the baseline's compile side, still
+// intact, gives it.
 func (e *Evaluator) editedMakeSpan(ed Edit) (int64, error) {
-	w := e.baseCfg.CompileWorkers
-	for f := range e.dVersions {
-		e.dVersions[f].done = e.dVersions[f].done[:0]
-		e.dVersions[f].levels = e.dVersions[f].levels[:0]
-	}
-	if cap(e.dPool.free) < w {
-		e.dPool.free = make([]int64, w)
-	} else {
-		e.dPool.free = e.dPool.free[:w]
-		clear(e.dPool.free)
-	}
+	e.d.reset(e.t.nf)
+	e.dPool.reset(e.baseCfg.CompileWorkers)
 
 	const inf = int64(1) << 62
 	tAffect := inf
@@ -430,8 +371,8 @@ func (e *Evaluator) editedMakeSpan(ed Edit) (int64, error) {
 		if ed.Kind == EditUpgrade && j == ed.Pos {
 			level = ed.Event.Level
 		}
-		_, _, done := e.dPool.assign(0, e.compile[int(ev.Func)*e.levels+int(level)])
-		e.dVersions[ev.Func].insert(done, level)
+		_, _, done := e.dPool.assign(0, e.t.compile(ev.Func, level))
+		e.d.add(&e.t, ev.Func, level, done)
 		old := e.compiles[j].Done
 		// A shifted finish time affects calls from min(old, new) on; a level
 		// change with an unshifted finish still swaps the version visible
@@ -447,8 +388,8 @@ func (e *Evaluator) editedMakeSpan(ed Edit) (int64, error) {
 		}
 	}
 	if ed.Kind == EditAppend {
-		_, _, done := e.dPool.assign(0, e.compile[int(ed.Event.Func)*e.levels+int(ed.Event.Level)])
-		e.dVersions[ed.Event.Func].insert(done, ed.Event.Level)
+		_, _, done := e.dPool.assign(0, e.t.compile(ed.Event.Func, ed.Event.Level))
+		e.d.add(&e.t, ed.Event.Func, ed.Event.Level, done)
 		if done < tAffect {
 			tAffect = done
 		}
@@ -457,42 +398,25 @@ func (e *Evaluator) editedMakeSpan(ed Edit) (int64, error) {
 		return e.baseSpan, nil
 	}
 
-	n := len(e.tr.Calls)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.callStarts[mid] >= tAffect {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	idx := lo
-	if idx == n {
+	calls := e.tr.Calls
+	idx, _ := slices.BinarySearch(e.starts, tAffect)
+	if idx == len(calls) {
 		return e.baseSpan, nil
 	}
-	var execT int64
-	if idx > 0 {
-		execT = e.callEnds[idx-1]
-	}
 	mag, seed := e.baseOpts.ExecVariation, e.baseOpts.ExecVariationSeed
-	for i := idx; i < n; i++ {
-		f := e.tr.Calls[i]
-		start := execT
-		if ready := e.dVersions[f].firstReady(); ready > start {
-			start = ready
-		}
-		level, ok := e.dVersions[f].latestAt(start)
-		if !ok {
-			return 0, &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := e.exec[int(f)*e.levels+int(level)]
+	x := execLoop{c: &e.d, t: &e.t, mag: mag, seed: seed}
+	if idx > 0 {
+		f, start := calls[idx-1], e.starts[idx-1]
+		dur := e.t.exec(f, e.c.levelAt(f, start))
 		if mag > 0 {
-			dur = scaleDuration(dur, CallFactor(seed, i, mag))
+			dur = scaleDuration(dur, CallFactor(seed, idx-1, mag))
 		}
-		execT = start + dur
+		x.execT = start + dur
 	}
-	return execT, nil
+	if err := x.run(calls, idx); err != nil {
+		return 0, err
+	}
+	return x.execT, nil
 }
 
 // evalCounters aggregates evaluator activity process-wide; `jitsched exp

@@ -6,10 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/testkit"
 	"repro/internal/trace"
@@ -101,16 +104,152 @@ func diffResults(t *testing.T, tag string, want, got *Result) {
 	wv, gv := reflect.ValueOf(*want), reflect.ValueOf(*got)
 	for i := 0; i < wv.NumField(); i++ {
 		if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-			t.Errorf("%s: Result.%s differs: sim.Run=%v evaluator=%v",
+			t.Errorf("%s: Result.%s differs: reference=%v got=%v",
 				tag, wv.Type().Field(i).Name, wv.Field(i).Interface(), gv.Field(i).Interface())
 		}
 	}
 }
 
+// diffAgainstRef runs one (trace, profile, schedule, config, options)
+// instance through every user of the make-span kernel — a cold and a warm
+// Evaluator.Run, the sim.Run wrapper, StartsBeforeCompileEnd, PrefixSim, and
+// the two delta edits — and diffs each against the reference loop: Result
+// fields, error strings, and, in a second pass with a Recorder attached, the
+// recorded event stream.
+func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opts Options) {
+	t.Helper()
+	want, wantErr := refRun(tr, p, sched, cfg, opts)
+	eval, err := NewEvaluator(tr, p)
+	if err != nil {
+		t.Fatalf("%s: NewEvaluator: %v", tag, err)
+	}
+	for pass, run := range []func() (*Result, error){
+		func() (*Result, error) { return eval.Run(sched, cfg, opts) },
+		func() (*Result, error) { return eval.Run(sched, cfg, opts) }, // warm
+		func() (*Result, error) { return Run(tr, p, sched, cfg, opts) },
+	} {
+		got, gotErr := run()
+		if wantErr != nil || gotErr != nil {
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("%s pass %d: error mismatch: reference=%v got=%v", tag, pass, wantErr, gotErr)
+			}
+			continue
+		}
+		diffResults(t, tag, want, got)
+	}
+	if wantErr != nil {
+		return
+	}
+
+	// The recorded event stream, compile and exec side.
+	wantRec, gotRec, simRec := obs.NewRecorder(), obs.NewRecorder(), obs.NewRecorder()
+	ropts := opts
+	ropts.Recorder = wantRec
+	if _, err := refRun(tr, p, sched, cfg, ropts); err != nil {
+		t.Fatal(err)
+	}
+	ropts.Recorder = gotRec
+	if _, err := eval.Run(sched, cfg, ropts); err != nil {
+		t.Fatal(err)
+	}
+	ropts.Recorder = simRec
+	if _, err := Run(tr, p, sched, cfg, ropts); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wantRec.Events(), gotRec.Events()) || !reflect.DeepEqual(wantRec.Events(), simRec.Events()) {
+		t.Errorf("%s: recorded events differ from the reference's", tag)
+	}
+
+	// Formula 2's frontier: the starts before the compile end.
+	full, err := refRun(tr, p, sched, cfg, Options{RecordCalls: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := eval.StartsBeforeCompileEnd(sched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for k < len(full.CallStarts) && full.CallStarts[k] < full.CompileEnd {
+		k++
+	}
+	if !reflect.DeepEqual(head, full.CallStarts[:k]) {
+		t.Errorf("%s: StartsBeforeCompileEnd = %v, want %v", tag, head, full.CallStarts[:k])
+	}
+
+	// PrefixSim runs no variation; feed it the schedule, then the calls in
+	// two chunks.
+	if opts.ExecVariation == 0 {
+		ps, err := NewPrefixSim(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range sched {
+			if err := ps.AppendCompile(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		half := tr.Len() / 2
+		if err := ps.ExecCalls(tr.Calls[:half]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.ExecCalls(tr.Calls[half:]); err != nil {
+			t.Fatal(err)
+		}
+		if ps.MakeSpan() != full.MakeSpan || ps.CompileEnd() != full.CompileEnd ||
+			!slices.Equal(ps.CallStarts(), full.CallStarts) {
+			t.Errorf("%s: PrefixSim (span %d, end %d) differs from the reference (span %d, end %d) or in call starts",
+				tag, ps.MakeSpan(), ps.CompileEnd(), full.MakeSpan, full.CompileEnd)
+		}
+	}
+
+	// The delta edits: every level at a few positions, and a few appends.
+	base := opts
+	base.RecordCalls = false
+	if _, err := eval.Run(sched, cfg, base); err != nil {
+		t.Fatal(err)
+	}
+	for _, pos := range []int{0, len(sched) / 2, len(sched) - 1} {
+		if pos < 0 {
+			continue
+		}
+		for l := 0; l < p.Levels; l++ {
+			edited := sched.Clone()
+			edited[pos].Level = profile.Level(l)
+			checkDelta(t, tag, tr, p, edited, cfg, base, func() (int64, error) {
+				return eval.UpgradedMakeSpan(pos, profile.Level(l))
+			})
+		}
+	}
+	for f := 0; f < p.NumFuncs() && f < 3; f++ {
+		ev := CompileEvent{Func: trace.FuncID(f), Level: profile.Level(f % p.Levels)}
+		checkDelta(t, tag, tr, p, append(sched.Clone(), ev), cfg, base, func() (int64, error) {
+			return eval.AppendedMakeSpan(ev)
+		})
+	}
+}
+
+// checkDelta compares one incremental make-span with the reference run of
+// the edited schedule.
+func checkDelta(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, edited Schedule, cfg Config, opts Options, delta func() (int64, error)) {
+	t.Helper()
+	want, err := refRun(tr, p, edited, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := delta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want.MakeSpan {
+		t.Errorf("%s: delta to %v gives make-span %d, reference %d", tag, edited, got, want.MakeSpan)
+	}
+}
+
 // TestEvaluatorMatchesRunOnCorpus pins the identical-results contract: over
-// the whole fuzz seed corpus, every Result field the evaluator produces is
-// bit-identical to sim.Run's, across worker counts, options, and repeated
-// (warm) runs.
+// the whole fuzz seed corpus, every user of the make-span kernel agrees with
+// the reference loop field for field, across worker counts (1-3, which give
+// out-of-order finish times) and options.
 func TestEvaluatorMatchesRunOnCorpus(t *testing.T) {
 	for _, tr := range corpusTraces(t) {
 		nf := tr.NumFuncs()
@@ -119,34 +258,80 @@ func TestEvaluatorMatchesRunOnCorpus(t *testing.T) {
 			t.Fatalf("%s: synthesize: %v", tr.Name, err)
 		}
 		sched := corpusSchedule(tr, p, 5)
-		eval, err := NewEvaluator(tr, p)
-		if err != nil {
-			t.Fatalf("%s: NewEvaluator: %v", tr.Name, err)
-		}
 		for _, cfg := range []Config{{CompileWorkers: 1}, {CompileWorkers: 2}, {CompileWorkers: 3}} {
 			for _, opts := range []Options{
 				{},
 				{RecordCalls: true},
 				{RecordCalls: true, ExecVariation: 0.3, ExecVariationSeed: 42},
 			} {
-				want, err := Run(tr, p, sched, cfg, opts)
-				if err != nil {
-					t.Fatalf("%s: sim.Run: %v", tr.Name, err)
-				}
-				for pass := 0; pass < 2; pass++ { // second pass runs warm
-					got, err := eval.Run(sched, cfg, opts)
-					if err != nil {
-						t.Fatalf("%s: evaluator.Run: %v", tr.Name, err)
-					}
-					diffResults(t, tr.Name, want, got)
-				}
+				diffAgainstRef(t, tr.Name, tr, p, sched, cfg, opts)
 			}
 		}
 	}
 }
 
+// TestKernelEdgeCases diffs the kernel's users against the reference on the
+// hand-built shapes the settled table and the settled tail must get right.
+func TestKernelEdgeCases(t *testing.T) {
+	// f0 compiles cheaply at level 0 and dearly at level 1; f1 is cheap.
+	p := &profile.Profile{
+		Levels: 2,
+		Funcs: []profile.FuncTimes{
+			{Name: "f0", Compile: []int64{2, 10}, Exec: []int64{5, 1}},
+			{Name: "f1", Compile: []int64{1, 4}, Exec: []int64{2, 1}},
+		},
+	}
+	f0s := trace.New("f0s", []trace.FuncID{0, 0, 0, 0, 0, 0})
+	cases := []struct {
+		name  string
+		tr    *trace.Trace
+		sched Schedule
+		cfg   Config
+	}{
+		// Versions of f0 finish at 2 and 12; the calls start at 2, 7 and
+		// then exactly 12, the compile end, where the level-1 version is
+		// already visible.
+		{"exec clock lands on the compile end", f0s, Schedule{{0, 0}, {0, 1}}, DefaultConfig()},
+		// The level-1 version finishes at 10, the later level-0 recompile
+		// at 12: the final level is the lower one.
+		{"lower-level recompile finishes last", f0s, Schedule{{0, 1}, {0, 0}}, DefaultConfig()},
+		// On two workers f0's level-0 compile, queued last, finishes (7)
+		// before its level-1 compile, queued first (10).
+		{"out-of-order finish times", trace.New("mix", []trace.FuncID{0, 1, 0, 1, 0, 0, 1}),
+			Schedule{{0, 1}, {1, 0}, {1, 1}, {0, 0}}, Config{CompileWorkers: 2}},
+		{"empty trace", trace.New("empty", nil), Schedule{{0, 0}}, DefaultConfig()},
+		{"uncompiled callee", trace.New("uncompiled", []trace.FuncID{0, 1}), Schedule{{0, 0}}, DefaultConfig()},
+	}
+	for _, tc := range cases {
+		for _, opts := range []Options{{}, {RecordCalls: true}, {RecordCalls: true, ExecVariation: 0.5, ExecVariationSeed: 3}} {
+			diffAgainstRef(t, tc.name, tc.tr, p, tc.sched, tc.cfg, opts)
+		}
+	}
+
+	// PrefixSim has no up-front validation: its kernel must report the
+	// uncompiled callee exactly as the reference loop does, before the
+	// compile end and in the settled tail.
+	for _, calls := range [][]trace.FuncID{{1, 0}, {0, 0, 0, 1}} {
+		tr := trace.New("uncompiled", calls)
+		versions := make([]versionList, 2)
+		versions[0].insert(p.CompileTime(0, 0), 0)
+		wantErr := refCalls(tr, p, versions, &Result{}, Options{})
+		ps, err := NewPrefixSim(p, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.AppendCompile(CompileEvent{Func: 0, Level: 0}); err != nil {
+			t.Fatal(err)
+		}
+		gotErr := ps.ExecCalls(calls)
+		if wantErr == nil || gotErr == nil || !reflect.DeepEqual(wantErr, gotErr) {
+			t.Errorf("calls %v: PrefixSim error %v, reference %v", calls, gotErr, wantErr)
+		}
+	}
+}
+
 // TestEvaluatorMatchesRunErrors checks the failure paths return the same
-// errors as sim.Run.
+// errors as the reference and the sim.Run wrapper.
 func TestEvaluatorMatchesRunErrors(t *testing.T) {
 	tr := trace.New("err", []trace.FuncID{0, 1, 0})
 	p := testkit.Synth(2, profile.DefaultTiming(3, 7))
@@ -165,15 +350,17 @@ func TestEvaluatorMatchesRunErrors(t *testing.T) {
 		{"bad level", Schedule{{Func: 0, Level: 9}}, DefaultConfig(), Options{}},
 		{"bad workers", Schedule{{Func: 0, Level: 0}, {Func: 1, Level: 0}}, Config{}, Options{}},
 		{"bad variation", Schedule{{Func: 0, Level: 0}, {Func: 1, Level: 0}}, DefaultConfig(), Options{ExecVariation: 2}},
+		{"interrupted", Schedule{{Func: 0, Level: 0}, {Func: 1, Level: 0}}, DefaultConfig(), Options{Interrupt: closedChan()}},
 	}
 	for _, tc := range cases {
-		_, wantErr := Run(tr, p, tc.sched, tc.cfg, tc.opts)
+		_, wantErr := refRun(tr, p, tc.sched, tc.cfg, tc.opts)
 		_, gotErr := eval.Run(tc.sched, tc.cfg, tc.opts)
-		if wantErr == nil || gotErr == nil {
-			t.Fatalf("%s: expected both paths to fail, got sim.Run=%v evaluator=%v", tc.name, wantErr, gotErr)
+		_, simErr := Run(tr, p, tc.sched, tc.cfg, tc.opts)
+		if wantErr == nil || gotErr == nil || simErr == nil {
+			t.Fatalf("%s: expected every path to fail, got reference=%v evaluator=%v sim.Run=%v", tc.name, wantErr, gotErr, simErr)
 		}
-		if wantErr.Error() != gotErr.Error() {
-			t.Errorf("%s: error mismatch:\n  sim.Run:   %v\n  evaluator: %v", tc.name, wantErr, gotErr)
+		if wantErr.Error() != gotErr.Error() || wantErr.Error() != simErr.Error() {
+			t.Errorf("%s: error mismatch:\n  reference: %v\n  evaluator: %v\n  sim.Run:   %v", tc.name, wantErr, gotErr, simErr)
 		}
 	}
 }
@@ -193,7 +380,7 @@ func deltaWorkload(t testing.TB, seed int64) (*trace.Trace, *profile.Profile, Sc
 // TestEvaluatorDeltaMatchesResim is the delta-equals-resimulation property
 // test: for randomized single-event edits (in-place level changes at any
 // position, appends of any event), the incremental make-span equals a full
-// re-simulation of the edited schedule, across worker counts and with
+// reference simulation of the edited schedule, across worker counts and with
 // execution-time variation on.
 func TestEvaluatorDeltaMatchesResim(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
@@ -213,7 +400,7 @@ func TestEvaluatorDeltaMatchesResim(t *testing.T) {
 					level := profile.Level(rng.Intn(p.Levels))
 					edited := sched.Clone()
 					edited[pos].Level = level
-					want, err := Run(tr, p, edited, cfg, opts)
+					want, err := refRun(tr, p, edited, cfg, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -232,7 +419,7 @@ func TestEvaluatorDeltaMatchesResim(t *testing.T) {
 						Level: profile.Level(rng.Intn(p.Levels)),
 					}
 					edited := append(sched.Clone(), ev)
-					want, err := Run(tr, p, edited, cfg, opts)
+					want, err := refRun(tr, p, edited, cfg, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -252,7 +439,7 @@ func TestEvaluatorDeltaMatchesResim(t *testing.T) {
 
 // TestMakeSpanOfFallback checks the transparent entry point: one-edit
 // candidates ride the fast path, anything else falls back to a full run, and
-// both agree with sim.Run in every case.
+// both agree with the reference in every case.
 func TestMakeSpanOfFallback(t *testing.T) {
 	tr, p, sched := deltaWorkload(t, 29)
 	cfg := DefaultConfig()
@@ -266,7 +453,7 @@ func TestMakeSpanOfFallback(t *testing.T) {
 
 	check := func(name string, cand Schedule, cfg Config, opts Options) {
 		t.Helper()
-		want, err := Run(tr, p, cand, cfg, opts)
+		want, err := refRun(tr, p, cand, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +462,7 @@ func TestMakeSpanOfFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want.MakeSpan {
-			t.Errorf("%s: MakeSpanOf %d != sim.Run %d", name, got, want.MakeSpan)
+			t.Errorf("%s: MakeSpanOf %d != reference %d", name, got, want.MakeSpan)
 		}
 	}
 
@@ -358,6 +545,61 @@ func TestEvaluatorZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEvaluatorPerCallBytes is the per-call memory budget, wired into
+// `make bench-guard`: building an evaluator and running it once, cold, on an
+// N-call trace allocates at most 8 bytes per call — the call starts, the
+// only per-call state the kernel keeps — plus a per-function, per-level
+// allowance; after that, Run and both delta evaluations allocate nothing.
+func TestEvaluatorPerCallBytes(t *testing.T) {
+	const nf, n = 40, 200000
+	tr := testkit.Gen(trace.GenConfig{
+		Name: "bytes", NumFuncs: nf, Length: n, Seed: 11,
+		ZipfS: 1.4, Phases: 2, CoreFuncs: 8, CoreShare: 0.4, BurstMean: 3,
+	})
+	p := testkit.Synth(nf, profile.DefaultTiming(4, 12))
+	sched := corpusSchedule(tr, p, 13)
+	cfg := DefaultConfig()
+	budget := uint64(8*n + 256*nf*p.Levels)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eval, err := NewEvaluator(tr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eval.Run(sched, cfg, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if cold := after.TotalAlloc - before.TotalAlloc; cold > budget {
+		t.Errorf("cold NewEvaluator+Run on %d calls allocates %d B (%.1f B/call), budget %d",
+			n, cold, float64(cold)/n, budget)
+	} else {
+		t.Logf("cold NewEvaluator+Run: %d B for %d calls, budget %d", cold, n, budget)
+	}
+
+	edits := []func() error{
+		func() error { _, err := eval.Run(sched, cfg, Options{}); return err },
+		func() error { _, err := eval.UpgradedMakeSpan(len(sched)/2, profile.Level(p.Levels-1)); return err },
+		func() error { _, err := eval.AppendedMakeSpan(CompileEvent{Func: 1, Level: 2}); return err },
+	}
+	for _, f := range edits { // the deltas size their own scratch once
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, name := range []string{"Run", "UpgradedMakeSpan", "AppendedMakeSpan"} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := edits[i](); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("warm %s allocates %v times per call, want 0", name, allocs)
+		}
+	}
+}
+
 // TestEvalStats sanity-checks the process-wide counters and their summary.
 func TestEvalStats(t *testing.T) {
 	before := ReadEvalStats()
@@ -391,7 +633,8 @@ func evalBenchWorkload(b *testing.B) (*trace.Trace, *profile.Profile, Schedule) 
 	return tr, p, corpusSchedule(tr, p, 7)
 }
 
-// BenchmarkSimRun is the slow-path baseline for BenchmarkEvaluatorRun.
+// BenchmarkSimRun measures the pooled sim.Run wrapper, which returns an owned
+// Result, next to BenchmarkEvaluatorRun's held evaluator.
 func BenchmarkSimRun(b *testing.B) {
 	tr, p, sched := evalBenchWorkload(b)
 	b.ReportAllocs()

@@ -30,6 +30,48 @@ func TestRunInterrupted(t *testing.T) {
 	}
 }
 
+// TestEvaluatorRunInterrupted: Evaluator.Run polls the same channel, before
+// the compile end and in the settled tail, returns ErrInterrupted with no
+// Result, and stays usable.
+func TestEvaluatorRunInterrupted(t *testing.T) {
+	p := figure1Profile()
+	calls := make([]trace.FuncID, 3*interruptStride)
+	for i := range calls {
+		calls[i] = trace.FuncID(i % 3)
+	}
+	tr := trace.New("long", calls)
+	sched := Schedule{{0, 0}, {1, 0}, {2, 0}, {2, 1}}
+	eval, err := NewEvaluator(tr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []int{0, interruptStride, 2 * interruptStride} {
+		// Resume the kernel past call 0 too, deep in the settled tail.
+		x := execLoop{c: &eval.c, t: &eval.t, intr: closedChan(), execT: 1 << 20}
+		if _, err := eval.Run(sched, DefaultConfig(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.run(tr.Calls, from); !errors.Is(err, ErrInterrupted) {
+			t.Errorf("kernel from call %d: err = %v, want ErrInterrupted", from, err)
+		}
+	}
+	res, err := eval.Run(sched, DefaultConfig(), Options{Interrupt: closedChan()})
+	if !errors.Is(err, ErrInterrupted) || res != nil {
+		t.Fatalf("Evaluator.Run: (%v, %v), want (nil, ErrInterrupted)", res, err)
+	}
+	want, err := refRun(tr, p, sched, DefaultConfig(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eval.Run(sched, DefaultConfig(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MakeSpan != want.MakeSpan {
+		t.Errorf("after an interrupt: make-span %d, want %d", got.MakeSpan, want.MakeSpan)
+	}
+}
+
 // TestRunPolicyInterrupted: same contract for the online-policy engine.
 func TestRunPolicyInterrupted(t *testing.T) {
 	p := figure1Profile()

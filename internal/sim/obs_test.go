@@ -117,16 +117,10 @@ func TestRunPolicyMTRejectsRecorder(t *testing.T) {
 // at all. The Makefile bench-guard target runs this in CI.
 func TestRecorderDisabledZeroAlloc(t *testing.T) {
 	tr, p, sched := obsWorkload(t)
-	versions := make([]versionList, p.NumFuncs())
-	pool := newWorkerPool(1)
-	for _, ev := range sched {
-		_, _, done := pool.assign(0, p.CompileTime(ev.Func, ev.Level))
-		versions[ev.Func].insert(done, ev.Level)
-	}
-	res := &Result{}
+	tb, c := kernelFor(t, p, sched)
 	allocs := testing.AllocsPerRun(200, func() {
-		res.MakeSpan, res.TotalExec, res.TotalBubble, res.BubbleCount = 0, 0, 0, 0
-		if err := runCalls(tr, p, versions, res, Options{}); err != nil {
+		x := execLoop{c: c, t: tb}
+		if err := x.run(tr.Calls, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -135,8 +129,27 @@ func TestRecorderDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchWorkload builds a larger schedule/trace pair for the benchmarks.
-func benchWorkload(b *testing.B) (*trace.Trace, *profile.Profile, []versionList) {
+// kernelFor builds sched's compile side on one worker, as Evaluator.Run
+// does, for driving the exec kernel directly.
+func kernelFor(t testing.TB, p *profile.Profile, sched Schedule) (*tables, *compiled) {
+	t.Helper()
+	tb := &tables{}
+	if err := tb.load(p); err != nil {
+		t.Fatal(err)
+	}
+	c := &compiled{}
+	c.reset(tb.nf)
+	pool := newWorkerPool(1)
+	for _, ev := range sched {
+		_, _, done := pool.assign(0, p.CompileTime(ev.Func, ev.Level))
+		c.add(tb, ev.Func, ev.Level, done)
+	}
+	return tb, c
+}
+
+// benchWorkload builds a larger schedule/trace pair for the benchmarks: every
+// function compiled once at level 0, called round-robin.
+func benchWorkload(b *testing.B) (*trace.Trace, *tables, *compiled) {
 	b.Helper()
 	const nf = 64
 	p, err := profile.Synthesize(nf, profile.DefaultTiming(3, 11))
@@ -147,26 +160,23 @@ func benchWorkload(b *testing.B) (*trace.Trace, *profile.Profile, []versionList)
 	for i := range calls {
 		calls[i] = trace.FuncID(i % nf)
 	}
-	tr := trace.New("bench", calls)
-	versions := make([]versionList, nf)
-	pool := newWorkerPool(1)
-	for f := 0; f < nf; f++ {
-		_, _, done := pool.assign(0, p.CompileTime(trace.FuncID(f), 0))
-		versions[f].insert(done, 0)
+	sched := make(Schedule, nf)
+	for f := range sched {
+		sched[f] = CompileEvent{Func: trace.FuncID(f)}
 	}
-	return tr, p, versions
+	tb, c := kernelFor(b, p, sched)
+	return trace.New("bench", calls), tb, c
 }
 
 // BenchmarkRunCallsRecorderOff measures the execution loop with recording
 // disabled; it must report 0 allocs/op.
 func BenchmarkRunCallsRecorderOff(b *testing.B) {
-	tr, p, versions := benchWorkload(b)
-	res := &Result{}
+	tr, tb, c := benchWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res.MakeSpan, res.TotalExec, res.TotalBubble, res.BubbleCount = 0, 0, 0, 0
-		if err := runCalls(tr, p, versions, res, Options{}); err != nil {
+		x := execLoop{c: c, t: tb}
+		if err := x.run(tr.Calls, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,15 +185,14 @@ func BenchmarkRunCallsRecorderOff(b *testing.B) {
 // BenchmarkRunCallsRecorderOn measures the same loop with a reused recorder,
 // quantifying the per-event recording cost.
 func BenchmarkRunCallsRecorderOn(b *testing.B) {
-	tr, p, versions := benchWorkload(b)
-	res := &Result{}
+	tr, tb, c := benchWorkload(b)
 	rec := obs.NewRecorder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res.MakeSpan, res.TotalExec, res.TotalBubble, res.BubbleCount = 0, 0, 0, 0
 		rec.Reset()
-		if err := runCalls(tr, p, versions, res, Options{Recorder: rec}); err != nil {
+		x := execLoop{c: c, t: tb, rec: rec}
+		if err := x.run(tr.Calls, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,21 +39,13 @@ import (
 // than AppendCompile's (which leaves the state untouched) the simulation is
 // mid-step and must be Reset before reuse.
 type PrefixSim struct {
-	nf      int
-	levels  int
-	workers int
-	// compile[f*levels+l] and exec[f*levels+l] flatten the profile tables,
-	// as in Evaluator.
-	compile []int64
-	exec    []int64
-
-	versions   []versionList
-	pool       workerPool
-	dones      []int64
-	compileEnd int64
-	starts     []int64
-	execT      int64
-	called     []bool
+	t      tables
+	c      compiled
+	pool   workerPool
+	dones  []int64
+	starts []int64
+	execT  int64
+	called []bool
 }
 
 // NewPrefixSim builds a resumable simulator for the profile under the given
@@ -63,32 +55,13 @@ func NewPrefixSim(p *profile.Profile, cfg Config) (*PrefixSim, error) {
 	if cfg.CompileWorkers < 1 {
 		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
 	}
-	nf, levels := p.NumFuncs(), p.Levels
-	if levels <= 0 {
-		return nil, fmt.Errorf("sim: evaluator needs a profile with positive Levels, got %d", levels)
+	s := &PrefixSim{}
+	if err := s.t.load(p); err != nil {
+		return nil, err
 	}
-	for f := range p.Funcs {
-		ft := &p.Funcs[f]
-		if len(ft.Compile) != levels || len(ft.Exec) != levels {
-			return nil, fmt.Errorf("sim: evaluator: function %d has %d compile / %d exec levels, want %d",
-				f, len(ft.Compile), len(ft.Exec), levels)
-		}
-	}
-	s := &PrefixSim{
-		nf: nf, levels: levels, workers: cfg.CompileWorkers,
-		compile:  make([]int64, nf*levels),
-		exec:     make([]int64, nf*levels),
-		versions: make([]versionList, nf),
-		pool:     workerPool{free: make([]int64, cfg.CompileWorkers)},
-		called:   make([]bool, nf),
-	}
-	for f := 0; f < nf; f++ {
-		ft := &p.Funcs[f]
-		for l := 0; l < levels; l++ {
-			s.compile[f*levels+l] = ft.Compile[l]
-			s.exec[f*levels+l] = ft.Exec[l]
-		}
-	}
+	s.c.reset(s.t.nf)
+	s.pool.reset(cfg.CompileWorkers)
+	s.called = make([]bool, s.t.nf)
 	return s, nil
 }
 
@@ -96,67 +69,60 @@ func NewPrefixSim(p *profile.Profile, cfg Config) (*PrefixSim, error) {
 // the simulator can replay a different schedule from time zero without
 // reallocating.
 func (s *PrefixSim) Reset() {
-	for f := range s.versions {
-		s.versions[f].done = s.versions[f].done[:0]
-		s.versions[f].levels = s.versions[f].levels[:0]
-	}
+	s.c.reset(s.t.nf)
 	clear(s.pool.free)
 	clear(s.called)
 	s.dones = s.dones[:0]
 	s.starts = s.starts[:0]
-	s.compileEnd = 0
 	s.execT = 0
 }
 
 // AppendCompile appends one compile event at the schedule tail, assigning it
 // to the earliest-free worker with arrival time zero, exactly as the static
-// simulators do. It rejects out-of-range events and — see the exactness
-// contract — an event for an already-executed function that would have
-// finished before the current execution clock. On error the state is
-// unchanged.
+// simulators do, and updates the function's settled-table row in O(1). It
+// rejects out-of-range events and — see the exactness contract — an event
+// for an already-executed function that would have finished before the
+// current execution clock. On error the state is unchanged.
 func (s *PrefixSim) AppendCompile(ev CompileEvent) error {
-	if ev.Func < 0 || int(ev.Func) >= s.nf {
+	if ev.Func < 0 || int(ev.Func) >= s.t.nf {
 		return fmt.Errorf("sim: prefix schedule event references unknown function %d", ev.Func)
 	}
-	if ev.Level < 0 || int(ev.Level) >= s.levels {
-		return fmt.Errorf("sim: prefix schedule event uses level %d outside [0,%d)", ev.Level, s.levels)
+	if ev.Level < 0 || int(ev.Level) >= s.t.levels {
+		return fmt.Errorf("sim: prefix schedule event uses level %d outside [0,%d)", ev.Level, s.t.levels)
 	}
 	best, free := s.pool.earliest()
-	done := free + s.compile[int(ev.Func)*s.levels+int(ev.Level)]
+	done := free + s.t.compile(ev.Func, ev.Level)
 	if s.called[ev.Func] && done < s.execT {
 		return fmt.Errorf("sim: prefix append of function %d finishing at %d would rewrite history before exec clock %d",
 			ev.Func, done, s.execT)
 	}
 	s.pool.free[best] = done
-	s.versions[ev.Func].insert(done, ev.Level)
+	s.c.add(&s.t, ev.Func, ev.Level, done)
 	s.dones = append(s.dones, done)
-	if done > s.compileEnd {
-		s.compileEnd = done
-	}
 	return nil
 }
 
 // ExecCalls executes the given calls in order, advancing the simulation
-// clock. A call to a function with no appended compilation fails with
-// *ErrNoReadyVersion, as in the static simulators.
+// clock through the same exec kernel as Evaluator.Run. A call to a function
+// with no appended compilation fails with *ErrNoReadyVersion, as in the
+// static simulators.
 func (s *PrefixSim) ExecCalls(calls []trace.FuncID) error {
+	called := s.called
 	for _, f := range calls {
-		if f < 0 || int(f) >= s.nf {
+		if uint(f) >= uint(len(called)) {
 			return fmt.Errorf("sim: prefix call invokes unknown function %d", f)
 		}
-		start := s.execT
-		if ready := s.versions[f].firstReady(); ready > start {
-			start = ready
-		}
-		level, ok := s.versions[f].latestAt(start)
-		if !ok {
-			return &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		s.starts = append(s.starts, start)
-		s.execT = start + s.exec[int(f)*s.levels+int(level)]
-		s.called[f] = true
+		called[f] = true
 	}
-	return nil
+	// The prefix grows by small deltas: double the starts' capacity rather
+	// than let append grow it a quarter at a time.
+	if need := len(s.starts) + len(calls); need > cap(s.starts) {
+		s.starts = append(make([]int64, 0, max(need, 2*cap(s.starts))), s.starts...)
+	}
+	x := execLoop{c: &s.c, t: &s.t, record: true, execT: s.execT, starts: s.starts}
+	err := x.run(calls, 0)
+	s.execT, s.starts = x.execT, x.starts
+	return err
 }
 
 // MakeSpan returns the execution clock: the end of the last executed call,
@@ -165,7 +131,7 @@ func (s *PrefixSim) MakeSpan() int64 { return s.execT }
 
 // CompileEnd returns the finish time of the latest-finishing appended
 // compile event, or 0 before any event.
-func (s *PrefixSim) CompileEnd() int64 { return s.compileEnd }
+func (s *PrefixSim) CompileEnd() int64 { return s.c.end }
 
 // CallStarts returns the start time of every executed call, in execution
 // order. The slice aliases the simulator and is valid (read-only) until the

@@ -34,12 +34,12 @@ func randPrefixInstance(rng *rand.Rand, nf, levels, nCalls int) (*profile.Profil
 }
 
 // comparePrefix checks the resumable simulator against a from-scratch
-// sim.Run of the same (schedule, calls) sub-instance.
+// reference run of the same (schedule, calls) sub-instance.
 func comparePrefix(t *testing.T, s *PrefixSim, p *profile.Profile, sched Schedule, calls []trace.FuncID, cfg Config) {
 	t.Helper()
-	// sim.Run validates that every called function is compiled; the
+	// The reference validates that every called function is compiled; the
 	// interleavings under test maintain that invariant by construction.
-	res, err := Run(trace.New("ref", calls), p, sched, cfg, Options{RecordCalls: true})
+	res, err := refRun(trace.New("ref", calls), p, sched, cfg, Options{RecordCalls: true})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

@@ -26,6 +26,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -56,13 +58,19 @@ func (s Schedule) TotalCompileTime(p *profile.Profile) int64 {
 // Validate checks that every event references a valid function and level and
 // that, if tr is non-nil, every called function is compiled at least once.
 func (s Schedule) Validate(tr *trace.Trace, p *profile.Profile) error {
-	compiled := make([]bool, p.NumFuncs())
+	return s.validate(tr, p.Levels, make([]bool, p.NumFuncs()))
+}
+
+// validate is Validate for a profile of len(compiled) functions, with
+// compiled as scratch.
+func (s Schedule) validate(tr *trace.Trace, levels int, compiled []bool) error {
+	clear(compiled)
 	for i, ev := range s {
-		if ev.Func < 0 || int(ev.Func) >= p.NumFuncs() {
+		if ev.Func < 0 || int(ev.Func) >= len(compiled) {
 			return fmt.Errorf("sim: schedule event %d references unknown function %d", i, ev.Func)
 		}
-		if ev.Level < 0 || int(ev.Level) >= p.Levels {
-			return fmt.Errorf("sim: schedule event %d uses level %d outside [0,%d)", i, ev.Level, p.Levels)
+		if ev.Level < 0 || int(ev.Level) >= levels {
+			return fmt.Errorf("sim: schedule event %d uses level %d outside [0,%d)", i, ev.Level, levels)
 		}
 		compiled[ev.Func] = true
 	}
@@ -109,12 +117,12 @@ type Options struct {
 	// allocation-free, held to by BenchmarkRunCallsRecorderOff and
 	// TestRecorderDisabledZeroAlloc.
 	Recorder *obs.Recorder
-	// Interrupt, when non-nil, makes Run and RunPolicy abandon the
-	// simulation once the channel is closed (or receives): the execution
-	// loop polls it every interruptStride calls and returns ErrInterrupted.
-	// This is how a serving layer cancels a long replay — typically wired
-	// to a context's Done channel. A nil channel costs nothing; polling
-	// never changes the numbers of a run that finishes.
+	// Interrupt, when non-nil, makes Run, Evaluator.Run and RunPolicy
+	// abandon the simulation once the channel is closed (or receives): the
+	// execution loop polls it every interruptStride calls and returns
+	// ErrInterrupted. This is how a serving layer cancels a long replay —
+	// typically wired to a context's Done channel. A nil channel costs
+	// nothing; polling never changes the numbers of a run that finishes.
 	Interrupt <-chan struct{}
 }
 
@@ -192,40 +200,42 @@ type Result struct {
 // tiny (one entry per compilation of that function), so linear operations are
 // fine.
 type versionList struct {
-	done   []int64
-	levels []profile.Level
+	vs []version
+}
+
+// version is one finished compilation.
+type version struct {
+	done  int64
+	level profile.Level
 }
 
 func (v *versionList) insert(done int64, l profile.Level) {
-	i := len(v.done)
-	for i > 0 && v.done[i-1] > done {
+	i := len(v.vs)
+	for i > 0 && v.vs[i-1].done > done {
 		i--
 	}
-	v.done = append(v.done, 0)
-	v.levels = append(v.levels, 0)
-	copy(v.done[i+1:], v.done[i:])
-	copy(v.levels[i+1:], v.levels[i:])
-	v.done[i] = done
-	v.levels[i] = l
+	v.vs = append(v.vs, version{})
+	copy(v.vs[i+1:], v.vs[i:])
+	v.vs[i] = version{done: done, level: l}
 }
 
 // latestAt returns the level of the latest compilation finished at or before
 // t, and whether any such version exists. Callers turn ok == false into a
 // structured *ErrNoReadyVersion instead of crashing the run.
 func (v *versionList) latestAt(t int64) (profile.Level, bool) {
-	for i := len(v.done) - 1; i >= 0; i-- {
-		if v.done[i] <= t {
-			return v.levels[i], true
+	for i := len(v.vs) - 1; i >= 0; i-- {
+		if v.vs[i].done <= t {
+			return v.vs[i].level, true
 		}
 	}
 	return 0, false
 }
 
 func (v *versionList) firstReady() int64 {
-	if len(v.done) == 0 {
+	if len(v.vs) == 0 {
 		return -1
 	}
-	return v.done[0]
+	return v.vs[0].done
 }
 
 // workerPool assigns jobs to the earliest-free of w workers.
@@ -265,87 +275,32 @@ func (p *workerPool) set(w int, t int64) { p.free[w] = t }
 // Run replays a static compilation schedule against the trace and returns the
 // resulting make-span. All compile events are available at time 0; this is
 // the mode in which the paper evaluates IAR, the single-level schemes, and
-// any precomputed schedule.
+// any precomputed schedule. Run borrows a pooled Evaluator and returns an
+// owned copy of its Result; callers that replay many schedules against one
+// workload keep an Evaluator themselves.
 func Run(tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opts Options) (*Result, error) {
-	if cfg.CompileWorkers < 1 {
-		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
-	}
-	if err := opts.validate(); err != nil {
+	e := evalPool.Get().(*Evaluator)
+	defer func() {
+		e.tr = nil // keep no caller data alive in the pool
+		evalPool.Put(e)
+	}()
+	if err := e.Reset(tr, p); err != nil {
 		return nil, err
 	}
-	if err := sched.Validate(tr, p); err != nil {
+	res, err := e.Run(sched, cfg, opts)
+	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Compiles:   make([]CompileRecord, 0, len(sched)),
-		FirstReady: make([]int64, p.NumFuncs()),
-	}
-	versions := make([]versionList, p.NumFuncs())
-	pool := newWorkerPool(cfg.CompileWorkers)
-	rec := opts.Recorder
-	for si, ev := range sched {
-		w, start, done := pool.assign(0, p.CompileTime(ev.Func, ev.Level))
-		res.Compiles = append(res.Compiles, CompileRecord{Event: ev, Start: start, Done: done, Worker: w})
-		rec.CompileStart(start, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		rec.CompileEnd(done, int32(ev.Func), int32(ev.Level), int32(w), int32(si))
-		versions[ev.Func].insert(done, ev.Level)
-		res.CompileBusy += done - start
-		if done > res.CompileEnd {
-			res.CompileEnd = done
-		}
-	}
-	for f := range versions {
-		res.FirstReady[f] = versions[f].firstReady()
-	}
-
-	if err := runCalls(tr, p, versions, res, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runCalls executes the trace against the prepared version lists, filling the
-// execution-side fields of res. A call reached before any version of its
-// function exists yields a *ErrNoReadyVersion.
-func runCalls(tr *trace.Trace, p *profile.Profile, versions []versionList, res *Result, opts Options) error {
+	out := *res
+	out.Compiles, out.FirstReady = slices.Clone(res.Compiles), slices.Clone(res.FirstReady)
 	if opts.RecordCalls {
-		res.CallStarts = make([]int64, 0, tr.Len())
-		res.CallLevels = make([]profile.Level, 0, tr.Len())
+		// Hand the per-call records over rather than copy them; the
+		// evaluator allocates fresh ones on its next run.
+		e.starts, e.levels = nil, nil
 	}
-	rec := opts.Recorder
-	intr := opts.Interrupt
-	var execT int64
-	for i, f := range tr.Calls {
-		if intr != nil && i%interruptStride == 0 && interrupted(intr) {
-			return ErrInterrupted
-		}
-		start := execT
-		if ready := versions[f].firstReady(); ready > start {
-			start = ready
-		}
-		if start > execT {
-			res.TotalBubble += start - execT
-			res.BubbleCount++
-			rec.Stall(execT, start-execT, int32(f), int32(i))
-		}
-		level, ok := versions[f].latestAt(start)
-		if !ok {
-			return &ErrNoReadyVersion{Func: f, Time: start}
-		}
-		dur := p.ExecTime(f, level)
-		if opts.ExecVariation > 0 {
-			dur = scaleDuration(dur, CallFactor(opts.ExecVariationSeed, i, opts.ExecVariation))
-		}
-		if opts.RecordCalls {
-			res.CallStarts = append(res.CallStarts, start)
-			res.CallLevels = append(res.CallLevels, level)
-		}
-		rec.ExecStart(start, int32(f), int32(level), int32(i))
-		rec.ExecEnd(start+dur, int32(f), int32(level), int32(i))
-		res.TotalExec += dur
-		execT = start + dur
-	}
-	res.MakeSpan = execT
-	return nil
+	return &out, nil
 }
+
+// evalPool recycles the evaluators behind Run, so that warm arenas survive
+// across calls process-wide.
+var evalPool = sync.Pool{New: func() any { return new(Evaluator) }}
