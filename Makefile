@@ -77,13 +77,15 @@ bench:
 # allocation ceiling, and two identical solves are bit-identical. A warm
 # 2000-call corpus prefix load must stay under 64 KiB, so generating a whole
 # trace only to truncate it (a scale-1 antlr trace alone is ~940 KB) fails.
+# Warm Jikes and V8 policy runs on jython must stay under 40 allocations,
+# so a policy or engine that allocates per compile request fails.
 bench-guard:
 	$(GO) test -run='TestDisabledRecorderZeroAlloc|TestRecorderDisabledZeroAlloc|TestEvaluatorZeroAlloc|TestEvaluatorPerCallBytes' -count=1 \
 		./internal/obs/ ./internal/sim/
 	$(GO) test -run='TestBnBWarmZeroAlloc|TestBnBWarmZeroAllocCancellable|TestBnBNodeBudgetGuard' -count=1 ./internal/astar/
 	$(GO) test -run='TestSolverWarmAllocs|TestSolveDeterminism' -count=1 ./internal/exact/
 	$(GO) test -run='TestIARArenaWarmAllocGuard' -count=1 ./internal/core/
-	$(GO) test -run='TestIARArenaAllocGuard' -count=1 .
+	$(GO) test -run='TestIARArenaAllocGuard|TestRunPolicyAllocGuard' -count=1 .
 	$(GO) test -run='TestOnlineObserveAllocGuard|TestOnlineReplanSpeedupGuard' -count=1 ./internal/online/
 	$(GO) test -run='TestLoadPrefixAllocGuard' -count=1 ./internal/dacapo/
 	$(GO) test -run='^$$' -bench=BenchmarkRunCallsRecorder -benchtime=100x ./internal/sim/
@@ -91,12 +93,15 @@ bench-guard:
 
 # Machine-readable benchmark record: the evaluator fast path, the search
 # micro-benchmarks, the figure benchmarks with their normalized make-span
-# metrics, and the uncached /schedule compute (BenchmarkServeMiss, one op per
-# corpus miss, 27 ops = 3 passes over the suite), collected into
-# BENCH_core.json via cmd/benchjson.
+# metrics, the online-policy engine (Jikes and V8 on jython, the
+# multi-threaded engine), and the uncached /schedule compute
+# (BenchmarkServeMiss, one op per corpus miss, 27 ops = 3 passes over the
+# suite), collected into BENCH_core.json via cmd/benchjson.
 bench-json:
 	@{ $(GO) test -run='^$$' -bench='^BenchmarkFig5$$|^BenchmarkIAR$$|^BenchmarkIARAblation$$|^BenchmarkSimReplay$$|^BenchmarkAStarSearch6$$' \
 		-benchmem -benchtime=3x . && \
+	$(GO) test -run='^$$' -bench='^BenchmarkJikesPolicy$$|^BenchmarkV8Policy$$|^BenchmarkMTEngine$$' \
+		-benchmem -benchtime=20x . && \
 	$(GO) test -run='^$$' -bench='BenchmarkSimRun|BenchmarkEvaluator' -benchmem -benchtime=50x ./internal/sim/ && \
 	$(GO) test -run='^$$' -bench='BenchmarkBeamSearch' -benchmem -benchtime=10x ./internal/astar/ && \
 	$(GO) test -run='^$$' -bench='BenchmarkServeMiss' -benchmem -benchtime=27x ./internal/server/; } \

@@ -183,6 +183,27 @@ func BenchmarkJikesPolicy(b *testing.B) {
 	}
 }
 
+// BenchmarkV8Policy measures the online-policy engine under the V8 scheme:
+// jython on its two lowest levels, every function promoted at its second
+// invocation, so the compile queue holds thousands of recompilations.
+func BenchmarkV8Policy(b *testing.B) {
+	w := loadBench(b, "jython")
+	p2, err := w.Profile.Restrict(0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pol, err := policy.NewV8(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.RunPolicy(w.Trace, p2, pol, sim.DefaultConfig(), sim.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTraceGen measures the synthetic trace generator.
 func BenchmarkTraceGen(b *testing.B) {
 	cfg := trace.GenConfig{

@@ -6,8 +6,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -47,6 +48,9 @@ type Jikes struct {
 	organizer    int64
 	nextOrganize int64
 	sampled      map[trace.FuncID]struct{} // functions sampled since the last pass
+	batch        []trace.FuncID            // organizer scratch
+
+	reqs []sim.Request // Sample's returned requests, reused across calls
 }
 
 // NewJikes builds the Jikes policy for nfuncs functions, sampling every
@@ -115,41 +119,42 @@ func (j *Jikes) Sample(f trace.FuncID, now int64) []sim.Request {
 		// Evaluate hottest-first (ties by id), deterministically: the
 		// organizer naturally prioritizes the methods dominating the
 		// samples, and map order must not leak into results.
-		batch := make([]trace.FuncID, 0, len(j.sampled))
+		j.batch = j.batch[:0]
 		for g := range j.sampled {
-			batch = append(batch, g)
+			j.batch = append(j.batch, g)
 		}
-		sort.Slice(batch, func(a, b int) bool {
-			if j.seen[batch[a]] != j.seen[batch[b]] {
-				return j.seen[batch[a]] > j.seen[batch[b]]
+		slices.SortFunc(j.batch, func(a, b trace.FuncID) int {
+			if j.seen[a] != j.seen[b] {
+				return cmp.Compare(j.seen[b], j.seen[a])
 			}
-			return batch[a] < batch[b]
+			return cmp.Compare(a, b)
 		})
-		var reqs []sim.Request
-		for _, g := range batch {
-			if r := j.evaluate(g); r != nil {
-				reqs = append(reqs, *r)
+		j.reqs = j.reqs[:0]
+		for _, g := range j.batch {
+			if r, ok := j.evaluate(g); ok {
+				j.reqs = append(j.reqs, r)
 			}
 		}
 		clear(j.sampled)
-		return reqs
+		return j.reqs
 	}
-	if r := j.evaluate(f); r != nil {
-		return []sim.Request{*r}
+	if r, ok := j.evaluate(f); ok {
+		j.reqs = append(j.reqs[:0], r)
+		return j.reqs
 	}
 	return nil
 }
 
 // evaluate runs the §6.2.1 cost-benefit recompilation test for one function
 // and returns the recompilation request it mandates, if any.
-func (j *Jikes) evaluate(f trace.FuncID) *sim.Request {
+func (j *Jikes) evaluate(f trace.FuncID) (sim.Request, bool) {
 	if !j.active[f] {
-		return nil
+		return sim.Request{}, false
 	}
 	l := j.last[f]
 	el := j.model.ExecTime(f, l)
 	if el <= 0 {
-		return nil
+		return sim.Request{}, false
 	}
 	// k' = samples * period / e_l: the invocation count the observed samples
 	// represent under the model's view of the current code version.
@@ -165,14 +170,11 @@ func (j *Jikes) evaluate(f trace.FuncID) *sim.Request {
 			bestLevel = m
 		}
 	}
-	if bestLevel == l {
-		return nil
+	if bestLevel == l || bestCost >= el*kEff {
+		return sim.Request{}, false
 	}
-	if bestCost < el*kEff {
-		j.last[f] = bestLevel
-		return &sim.Request{Func: f, Level: bestLevel}
-	}
-	return nil
+	j.last[f] = bestLevel
+	return sim.Request{Func: f, Level: bestLevel}, true
 }
 
 // SamplePeriod implements sim.Policy.
@@ -183,6 +185,7 @@ func (j *Jikes) SamplePeriod() int64 { return j.period }
 // recompiled at the high level at its second invocation.
 type V8 struct {
 	high profile.Level
+	req  [1]sim.Request // BeforeCall's returned request, reused across calls
 }
 
 // NewV8 builds the V8 policy. high is the optimizing level (V8 itself has
@@ -201,7 +204,8 @@ func (v *V8) FirstCall(f trace.FuncID, now int64) profile.Level { return 0 }
 // high-level recompilation.
 func (v *V8) BeforeCall(f trace.FuncID, nth int64, now int64) []sim.Request {
 	if nth == 2 {
-		return []sim.Request{{Func: f, Level: v.high}}
+		v.req[0] = sim.Request{Func: f, Level: v.high}
+		return v.req[:]
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -52,7 +55,9 @@ func (d QueueDiscipline) String() string {
 //
 // A Policy is single-use: the engine feeds one run through it. Implementations
 // keep per-run state (hotness counters, invocation counts) internally.
-// Requested levels must lie within the profile's level range.
+// Requested levels must lie within the profile's level range. The engine
+// reads a slice returned by BeforeCall or Sample before its next call into
+// the policy, so an implementation may return one buffer it reuses.
 type Policy interface {
 	// FirstCall is invoked when execution reaches a function that has never
 	// been requested. The returned level is compiled as a blocking request:
@@ -84,125 +89,249 @@ type pendingReq struct {
 	seq     int  // arrival order tie-break
 }
 
-// compileQueue serves pending requests to workers under a discipline. The
-// queue is resolved lazily: because policies only emit requests while
-// execution progresses, all future arrivals are unknown until the execution
-// side advances, so assignments are materialized on demand, never past the
-// currently known arrivals.
+// reqHeap is a min-heap of pending requests on (arrival, seq).
+type reqHeap []pendingReq
+
+func (h reqHeap) less(i, j int) bool {
+	if h[i].arrival != h[j].arrival {
+		return h[i].arrival < h[j].arrival
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *reqHeap) push(r pendingReq) {
+	s := append(*h, r)
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s.less(i, up) {
+			break
+		}
+		s[i], s[up] = s[up], s[i]
+		i = up
+	}
+	*h = s
+}
+
+func (h *reqHeap) pop() pendingReq {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if m+1 < n && s.less(m+1, m) {
+			m++
+		}
+		if !s.less(m, i) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
+}
+
+// compileQueue holds the requests waiting for a worker in two min-heaps on
+// (arrival, seq). Under FirstCompileFirst heaps[0] holds first compilations
+// and heaps[1] recompilations; under FIFO every request is in heaps[0].
+// Arrivals need not be monotone (RunPolicyMT's are not).
 type compileQueue struct {
 	discipline QueueDiscipline
-	pending    []pendingReq
-	pool       *workerPool
+	heaps      [2]reqHeap
+	recompiles int // pending recompilations, under either discipline
 }
 
-// push adds a request. Arrivals are nondecreasing by construction.
-func (q *compileQueue) push(r pendingReq) { q.pending = append(q.pending, r) }
+func (q *compileQueue) reset(d QueueDiscipline) {
+	q.discipline = d
+	q.heaps[0], q.heaps[1] = q.heaps[0][:0], q.heaps[1][:0]
+	q.recompiles = 0
+}
 
-// next picks the index of the request a worker idle at time t should take:
-// among requests with arrival <= t, the highest-priority one; if none has
-// arrived yet, the earliest-arriving (the worker waits for it). Returns -1
-// if the queue is empty.
+func (q *compileQueue) len() int { return len(q.heaps[0]) + len(q.heaps[1]) }
+
+func (q *compileQueue) push(r pendingReq) {
+	h := 0
+	if !r.first {
+		q.recompiles++
+		if q.discipline == FirstCompileFirst {
+			h = 1
+		}
+	}
+	q.heaps[h].push(r)
+}
+
+// next picks the heap whose head a worker idle at time t should take, or -1
+// if the queue is empty. Among requests arrived by t the discipline's
+// highest-priority one wins (a first compilation under FirstCompileFirst,
+// then the earliest arrival, then insertion order); if none has arrived,
+// the earliest arrival, first compilations winning ties (the worker waits
+// for it).
 func (q *compileQueue) next(t int64) int {
-	if len(q.pending) == 0 {
-		return -1
-	}
-	best := -1
-	for i, r := range q.pending {
-		if r.arrival > t {
-			continue
+	a, b := q.heaps[0], q.heaps[1]
+	switch {
+	case len(b) == 0:
+		if len(a) == 0 {
+			return -1
 		}
-		if best < 0 || q.higherPriority(r, q.pending[best]) {
-			best = i
-		}
+		return 0
+	case len(a) == 0:
+		return 1
+	case a[0].arrival <= t:
+		return 0
+	case b[0].arrival <= t:
+		return 1
+	case a[0].arrival <= b[0].arrival:
+		return 0
+	default:
+		return 1
 	}
-	if best >= 0 {
-		return best
-	}
-	// Nothing has arrived yet: the worker idles until the earliest arrival.
-	for i, r := range q.pending {
-		if best < 0 || r.arrival < q.pending[best].arrival ||
-			(r.arrival == q.pending[best].arrival && q.higherPriority(r, q.pending[best])) {
-			best = i
-		}
-	}
-	return best
 }
 
-// higherPriority reports whether a should be served before b when both are
-// available. FIFO order is by arrival time (insertion order breaks ties);
-// with one execution thread the two coincide, and with several they can
-// differ because call events are processed at their start times while their
-// sampling requests arrive mid-span.
-func (q *compileQueue) higherPriority(a, b pendingReq) bool {
-	if q.discipline == FirstCompileFirst && a.first != b.first {
-		return a.first
+func (q *compileQueue) pop(h int) pendingReq {
+	r := q.heaps[h].pop()
+	if !r.first {
+		q.recompiles--
 	}
-	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
-	}
-	return a.seq < b.seq
-}
-
-// nextAssignTime returns when the next assignment would commit (the chosen
-// worker's free time or the chosen request's arrival, whichever is later),
-// or ok=false if nothing is pending.
-func (e *engine) nextAssignTime() (int64, bool) {
-	if len(e.queue.pending) == 0 {
-		return 0, false
-	}
-	_, free := e.queue.pool.earliest()
-	i := e.queue.next(free)
-	if i < 0 {
-		return 0, false
-	}
-	t := free
-	if a := e.queue.pending[i].arrival; a > t {
-		t = a
-	}
-	return t, true
-}
-
-func (q *compileQueue) remove(i int) pendingReq {
-	r := q.pending[i]
-	q.pending = append(q.pending[:i], q.pending[i+1:]...)
 	return r
 }
 
-// engine couples the compile queue to the result bookkeeping.
+// fnRequests is one function's policy-side counters.
+type fnRequests struct {
+	calls int64         // invocations so far, across threads
+	max   profile.Level // highest level requested; -1 before the first request
+}
+
+// noAssign is the engine's next commit time while the queue is empty.
+const noAssign = math.MaxInt64
+
+// engine is the online engine behind RunPolicy and RunPolicyMT. Its compile
+// side is the kernel's settled table (compiled) over the flattened profile
+// (tables); the queue is resolved lazily: because policies only emit
+// requests while execution progresses, all future arrivals are unknown until
+// the execution side advances, so assignments are materialized on demand,
+// never past the currently known arrivals. nextAt caches when the next
+// assignment would commit; only a push or an assignment changes it. Engines
+// are pooled: their arenas survive across runs.
 type engine struct {
-	p        *profile.Profile
-	queue    compileQueue
-	versions []versionList
-	res      *Result
-	rec      *obs.Recorder
+	t      tables
+	c      compiled
+	pool   workerPool
+	queue  compileQueue
+	fns    []fnRequests
+	nextAt int64 // commit time of the next assignment; noAssign if none
+	seq    int
+	res    Result
+	rec    *obs.Recorder
+
+	// drainOnEnqueue makes enqueue materialize every assignment startable
+	// by a request's arrival before queueing it (RunPolicy's rule, which
+	// keeps the queue-pressure statistics to what is genuinely waiting).
+	drainOnEnqueue bool
+}
+
+var enginePool = sync.Pool{New: func() any { return new(engine) }}
+
+// acquireEngine borrows a pooled engine and resets it for a run of the
+// profile under cfg, validating the profile as sim.Run does.
+func acquireEngine(p *profile.Profile, cfg Config, rec *obs.Recorder) (*engine, error) {
+	e := enginePool.Get().(*engine)
+	if err := e.t.load(p); err != nil {
+		e.release()
+		return nil, err
+	}
+	e.c.reset(e.t.nf)
+	e.pool.reset(cfg.CompileWorkers)
+	e.queue.reset(cfg.Discipline)
+	e.fns = growN(e.fns, e.t.nf)
+	for f := range e.fns {
+		e.fns[f] = fnRequests{max: -1}
+	}
+	e.nextAt, e.seq = noAssign, 0
+	e.res = Result{Compiles: e.res.Compiles[:0]}
+	e.rec = rec
+	e.drainOnEnqueue = false
+	return e, nil
+}
+
+// release returns the engine to the pool, keeping no caller data alive.
+func (e *engine) release() {
+	e.rec = nil
+	enginePool.Put(e)
+}
+
+// enqueue queues a policy request for f at level l arriving at arrival.
+// Requests for a level not above the highest already requested for f are
+// dropped (a JIT never downgrades, and duplicates coalesce in the queue).
+func (e *engine) enqueue(f trace.FuncID, l profile.Level, arrival int64) error {
+	if l < 0 || int(l) >= e.t.levels {
+		return fmt.Errorf("sim: policy requested level %d for function %d outside [0,%d)", l, f, e.t.levels)
+	}
+	fr := &e.fns[f]
+	if l <= fr.max {
+		return nil
+	}
+	if e.drainOnEnqueue {
+		e.drainArrived(arrival)
+	}
+	first := fr.max < 0
+	fr.max = l
+	e.seq++
+	if first && e.queue.recompiles > 0 {
+		e.res.FirstBehindRecompiles++
+	}
+	e.queue.push(pendingReq{f: f, level: l, arrival: arrival, first: first, seq: e.seq})
+	e.res.MaxPending = max(e.res.MaxPending, e.queue.len())
+	e.updateNextAt()
+	return nil
+}
+
+// updateNextAt recomputes when the next assignment would commit: the
+// earliest-free worker's free time or the chosen request's arrival,
+// whichever is later.
+func (e *engine) updateNextAt() {
+	_, free := e.pool.earliest()
+	h := e.queue.next(free)
+	if h < 0 {
+		e.nextAt = noAssign
+		return
+	}
+	e.nextAt = max(free, e.queue.heaps[h][0].arrival)
 }
 
 // drainOne materializes the next assignment if any request is pending.
 // Returns false when the queue is empty.
 func (e *engine) drainOne() bool {
-	w, free := e.queue.pool.earliest()
-	i := e.queue.next(free)
-	if i < 0 {
+	w, free := e.pool.earliest()
+	h := e.queue.next(free)
+	if h < 0 {
 		return false
 	}
-	r := e.queue.remove(i)
-	start := free
-	if r.arrival > start {
-		start = r.arrival
-	}
-	done := start + e.p.CompileTime(r.f, r.level)
-	e.queue.pool.set(w, done)
+	r := e.queue.pop(h)
+	start := max(free, r.arrival)
+	done := start + e.t.compile(r.f, r.level)
+	e.pool.set(w, done)
+	seq := int32(len(e.res.Compiles))
 	e.res.Compiles = append(e.res.Compiles, CompileRecord{
 		Event: CompileEvent{Func: r.f, Level: r.level}, Start: start, Done: done, Worker: w,
 	})
-	e.rec.CompileStart(start, int32(r.f), int32(r.level), int32(w), int32(len(e.res.Compiles)-1))
-	e.rec.CompileEnd(done, int32(r.f), int32(r.level), int32(w), int32(len(e.res.Compiles)-1))
-	e.versions[r.f].insert(done, r.level)
+	e.rec.CompileStart(start, int32(r.f), int32(r.level), int32(w), seq)
+	e.rec.CompileEnd(done, int32(r.f), int32(r.level), int32(w), seq)
+	e.c.add(&e.t, r.f, r.level, done)
 	e.res.CompileBusy += done - start
-	if done > e.res.CompileEnd {
-		e.res.CompileEnd = done
-	}
+	e.updateNextAt()
 	return true
+}
+
+// drainArrived materializes every assignment that commits at or before t,
+// so that version lookups at time t see all relevant completions.
+func (e *engine) drainArrived(t int64) {
+	for e.nextAt <= t {
+		e.drainOne()
+	}
 }
 
 // drainUntilReady materializes assignments until function f has at least one
@@ -210,60 +339,49 @@ func (e *engine) drainOne() bool {
 // execution side is blocked on f: a blocked executor generates no further
 // arrivals, so the pending set is complete. If the queue runs dry before f
 // has a version the simulated machine would hang forever; that inconsistency
-// is reported as a *DeadlockError naming the blocked function and the queue
-// state instead of crashing the worker.
+// is reported as a *DeadlockError naming the blocked function instead of
+// crashing the worker. Its Pending list is empty: drainOne fails only on an
+// empty queue.
 func (e *engine) drainUntilReady(f trace.FuncID, now int64) error {
-	for e.versions[f].firstReady() < 0 {
+	for e.c.tab[f].ready < 0 {
 		if !e.drainOne() {
-			return &DeadlockError{Func: f, Time: now, Pending: e.pendingRequests()}
+			return &DeadlockError{Func: f, Time: now}
 		}
 	}
 	return nil
 }
 
-// pendingRequests snapshots the queue's outstanding requests for error
-// reports.
-func (e *engine) pendingRequests() []Request {
-	if len(e.queue.pending) == 0 {
-		return nil
+// version returns the level and exec time of a call to f starting at t,
+// after drainArrived(t): the settled entry once t reaches f's last finish
+// time, else the version-list lookup.
+func (e *engine) version(f trace.FuncID, t int64) (profile.Level, int64, error) {
+	r := &e.c.tab[f]
+	if t >= r.last {
+		return r.level, r.exec, nil
 	}
-	out := make([]Request, len(e.queue.pending))
-	for i, r := range e.queue.pending {
-		out[i] = Request{Func: r.f, Level: r.level}
+	l, ok := r.versions.latestAt(t)
+	if !ok {
+		return 0, 0, &ErrNoReadyVersion{Func: f, Time: t}
 	}
-	return out
+	return l, e.t.exec(f, l), nil
 }
 
-// drainArrived materializes every assignment that can start at or before t,
-// so that version lookups at time t see all relevant completions.
-func (e *engine) drainArrived(t int64) {
-	for {
-		_, free := e.queue.pool.earliest()
-		if free > t {
-			return
-		}
-		i := e.queue.next(free)
-		if i < 0 {
-			return
-		}
-		r := e.queue.pending[i]
-		start := free
-		if r.arrival > start {
-			start = r.arrival
-		}
-		if start > t {
-			return
-		}
-		if !e.drainOne() {
-			return
-		}
-	}
-}
-
-// drainAll materializes every remaining assignment (end of run).
-func (e *engine) drainAll() {
+// result drains the queue and returns an owned copy of the compile side of
+// the run's Result.
+func (e *engine) result() *Result {
 	for e.drainOne() {
 	}
+	res := e.res
+	res.Compiles = nil
+	if len(e.res.Compiles) > 0 {
+		res.Compiles = slices.Clone(e.res.Compiles)
+	}
+	res.CompileEnd = e.c.end
+	res.FirstReady = make([]int64, e.t.nf)
+	for f := range res.FirstReady {
+		res.FirstReady[f] = e.c.tab[f].ready
+	}
+	return &res
 }
 
 // RunPolicy drives the trace through an online policy and returns the
@@ -290,112 +408,79 @@ func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	nf := p.NumFuncs()
-	if err := tr.Validate(nf); err != nil {
+	e, err := acquireEngine(p, cfg, opts.Recorder)
+	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{FirstReady: make([]int64, nf)}
-	for f := range res.FirstReady {
-		res.FirstReady[f] = -1
+	defer e.release()
+	e.drainOnEnqueue = true
+	if err := tr.Validate(e.t.nf); err != nil {
+		return nil, err
 	}
-	if opts.RecordCalls {
-		res.CallStarts = make([]int64, 0, tr.Len())
-		res.CallLevels = make([]profile.Level, 0, tr.Len())
-	}
-
-	eng := &engine{
-		p:        p,
-		queue:    compileQueue{discipline: cfg.Discipline, pool: newWorkerPool(cfg.CompileWorkers)},
-		versions: make([]versionList, nf),
-		res:      res,
-		rec:      opts.Recorder,
-	}
-	maxRequested := make([]profile.Level, nf)
-	requested := make([]bool, nf)
-	seq := 0
-
-	enqueue := func(f trace.FuncID, l profile.Level, arrival int64) error {
-		if l < 0 || int(l) >= p.Levels {
-			return fmt.Errorf("sim: policy requested level %d for function %d outside [0,%d)", l, f, p.Levels)
-		}
-		if requested[f] && l <= maxRequested[f] {
-			return nil
-		}
-		// Materialize everything startable by now so the pressure stats
-		// below reflect what is genuinely still waiting.
-		eng.drainArrived(arrival)
-		first := !requested[f]
-		requested[f] = true
-		maxRequested[f] = l
-		seq++
-		if first {
-			for _, r := range eng.queue.pending {
-				if !r.first {
-					res.FirstBehindRecompiles++
-					break
-				}
-			}
-		}
-		eng.queue.push(pendingReq{f: f, level: l, arrival: arrival, first: first, seq: seq})
-		if n := len(eng.queue.pending); n > res.MaxPending {
-			res.MaxPending = n
-		}
-		return nil
-	}
-
 	period := pol.SamplePeriod()
 	if period < 0 {
 		return nil, fmt.Errorf("sim: policy sample period must be >= 0, got %d", period)
 	}
 	nextSample := period // first sampling tick fires at t = period
 
-	callNum := make([]int64, nf)
-	intr := opts.Interrupt
-	var execT int64
+	var starts []int64
+	var levels []profile.Level
+	record := opts.RecordCalls
+	if record {
+		starts = make([]int64, 0, tr.Len())
+		levels = make([]profile.Level, 0, tr.Len())
+	}
+	tab, fns, rec, intr := e.c.tab, e.fns, e.rec, opts.Interrupt
+	mag, seed := opts.ExecVariation, opts.ExecVariationSeed
+	var execT, bubble int64
+	var stalls int
 	for i, f := range tr.Calls {
 		if intr != nil && i%interruptStride == 0 && interrupted(intr) {
 			return nil, ErrInterrupted
 		}
-		callNum[f]++
-		for _, r := range pol.BeforeCall(f, callNum[f], execT) {
-			if err := enqueue(r.Func, r.Level, execT); err != nil {
+		fr := &fns[f]
+		fr.calls++
+		for _, r := range pol.BeforeCall(f, fr.calls, execT) {
+			if err := e.enqueue(r.Func, r.Level, execT); err != nil {
 				return nil, err
 			}
 		}
-		if !requested[f] {
-			if err := enqueue(f, pol.FirstCall(f, execT), execT); err != nil {
+		if fr.max < 0 {
+			if err := e.enqueue(f, pol.FirstCall(f, execT), execT); err != nil {
 				return nil, err
 			}
 		}
-		if eng.versions[f].firstReady() < 0 {
-			if err := eng.drainUntilReady(f, execT); err != nil {
+		row := &tab[f]
+		if row.ready < 0 {
+			if err := e.drainUntilReady(f, execT); err != nil {
 				return nil, err
 			}
 		}
 		start := execT
-		if ready := eng.versions[f].firstReady(); ready > start {
-			start = ready
-		}
-		if start > execT {
-			res.TotalBubble += start - execT
-			res.BubbleCount++
-			eng.rec.Stall(execT, start-execT, int32(f), int32(i))
+		if row.ready > start {
+			bubble += row.ready - start
+			stalls++
+			rec.Stall(start, row.ready-start, int32(f), int32(i))
+			start = row.ready
 		}
 		// Make sure every compilation that finishes by the call's start is
 		// materialized, then pick the latest finished version.
-		eng.drainArrived(start)
-		level, ok := eng.versions[f].latestAt(start)
-		if !ok {
-			return nil, &ErrNoReadyVersion{Func: f, Time: start}
+		e.drainArrived(start)
+		level, dur := row.level, row.exec
+		if start < row.last {
+			var err error
+			if level, dur, err = e.version(f, start); err != nil {
+				return nil, err
+			}
 		}
-		dur := p.ExecTime(f, level)
-		if opts.ExecVariation > 0 {
-			dur = scaleDuration(dur, CallFactor(opts.ExecVariationSeed, i, opts.ExecVariation))
+		if mag > 0 {
+			dur = scaleDuration(dur, CallFactor(seed, i, mag))
 		}
 		end := start + dur
-		eng.rec.ExecStart(start, int32(f), int32(level), int32(i))
-		eng.rec.ExecEnd(end, int32(f), int32(level), int32(i))
+		if rec != nil {
+			rec.ExecStart(start, int32(f), int32(level), int32(i))
+			rec.ExecEnd(end, int32(f), int32(level), int32(i))
+		}
 		if period > 0 {
 			// Sampling ticks that land during this call observe f on the
 			// stack; ticks that land in a bubble observe nothing and pass.
@@ -404,25 +489,23 @@ func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts
 			}
 			for nextSample < end {
 				for _, r := range pol.Sample(f, nextSample) {
-					if err := enqueue(r.Func, r.Level, nextSample); err != nil {
+					if err := e.enqueue(r.Func, r.Level, nextSample); err != nil {
 						return nil, err
 					}
 				}
 				nextSample += period
 			}
 		}
-		if opts.RecordCalls {
-			res.CallStarts = append(res.CallStarts, start)
-			res.CallLevels = append(res.CallLevels, level)
+		if record {
+			starts = append(starts, start)
+			levels = append(levels, level)
 		}
-		res.TotalExec += dur
 		execT = end
 	}
-	eng.drainAll()
-	for f := range eng.versions {
-		res.FirstReady[f] = eng.versions[f].firstReady()
-	}
-	res.MakeSpan = execT
+	res := e.result()
+	res.MakeSpan, res.TotalBubble, res.BubbleCount = execT, bubble, stalls
+	res.TotalExec = execT - bubble
+	res.CallStarts, res.CallLevels = starts, levels
 	return res, nil
 }
 

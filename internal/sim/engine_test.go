@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/profile"
@@ -226,4 +227,55 @@ func TestOnlineMakeSpanIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompileQueueMatchesScan diffs the two-heap queue against the
+// reference scan queue on random push/serve sequences with non-monotone,
+// often tied arrivals (as RunPolicyMT produces): each served request and
+// the pending and pending-recompile counts must agree, under both
+// disciplines.
+func TestCompileQueueMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, d := range []QueueDiscipline{FIFO, FirstCompileFirst} {
+		for round := 0; round < 200; round++ {
+			var q compileQueue
+			q.reset(d)
+			ref := refQueue{discipline: d}
+			seq := 0
+			for step := 0; step < 60; step++ {
+				if rng.Intn(3) > 0 {
+					seq++
+					r := pendingReq{f: trace.FuncID(rng.Intn(5)), arrival: int64(rng.Intn(8)), first: rng.Intn(2) == 0, seq: seq}
+					q.push(r)
+					ref.push(r)
+					continue
+				}
+				now := int64(rng.Intn(10))
+				i, h := ref.next(now), q.next(now)
+				if (i < 0) != (h < 0) {
+					t.Fatalf("%v round %d: next(%d): reference index %d, heap %d", d, round, now, i, h)
+				}
+				if i < 0 {
+					continue
+				}
+				if want, got := ref.remove(i), q.pop(h); want != got {
+					t.Fatalf("%v round %d: next(%d) serves %+v, reference %+v", d, round, now, got, want)
+				}
+				if q.len() != len(ref.pending) || q.recompiles != countRecompiles(ref.pending) {
+					t.Fatalf("%v round %d: %d pending (%d recompiles), reference %d (%d)", d, round,
+						q.len(), q.recompiles, len(ref.pending), countRecompiles(ref.pending))
+				}
+			}
+		}
+	}
+}
+
+func countRecompiles(pending []pendingReq) int {
+	n := 0
+	for _, r := range pending {
+		if !r.first {
+			n++
+		}
+	}
+	return n
 }

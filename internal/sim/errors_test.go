@@ -75,15 +75,16 @@ func TestDrainUntilReadyDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &engine{
-		p:        p,
-		queue:    compileQueue{pool: newWorkerPool(1)},
-		versions: make([]versionList, 2),
-		res:      &Result{},
+	eng, err := acquireEngine(p, DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer eng.release()
 	// One pending compilation of function 1; the executor blocks on
 	// function 0, which nothing in the queue can ever satisfy.
-	eng.queue.push(pendingReq{f: 1, level: 0, arrival: 0, first: true, seq: 1})
+	if err := eng.enqueue(1, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	err = eng.drainUntilReady(0, 37)
 	if err == nil {
 		t.Fatal("drainUntilReady returned nil for an unsatisfiable wait")
@@ -103,7 +104,7 @@ func TestDrainUntilReadyDeadlock(t *testing.T) {
 	if len(de.Pending) != 0 {
 		t.Errorf("pending snapshot = %v, want empty", de.Pending)
 	}
-	if eng.versions[1].firstReady() < 0 {
+	if eng.c.tab[1].ready < 0 {
 		t.Error("the satisfiable request was not drained before reporting")
 	}
 }
@@ -119,5 +120,26 @@ func TestDeadlockErrorFormatsQueueState(t *testing.T) {
 	empty := &DeadlockError{Func: 0, Time: 0}
 	if !strings.Contains(empty.Error(), "queue empty") {
 		t.Errorf("empty-queue DeadlockError %q does not say so", empty.Error())
+	}
+}
+
+// TestRunPolicyRejectsMalformedProfile is the regression test for the
+// policy engines' former index-out-of-range panic on a profile whose rows
+// do not match its level count: RunPolicy and RunPolicyMT now return the
+// error sim.Run returns for the same profile.
+func TestRunPolicyRejectsMalformedProfile(t *testing.T) {
+	p := &profile.Profile{
+		Levels: 2,
+		Funcs:  []profile.FuncTimes{{Name: "f0", Compile: []int64{1, 4}, Exec: []int64{3}}},
+	}
+	tr := trace.New("malformed", []trace.FuncID{0, 0, 0})
+	const want = "sim: evaluator: function 0 has 2 compile / 1 exec levels, want 2"
+	_, runErr := Run(tr, p, Schedule{{Func: 0, Level: 1}}, DefaultConfig(), Options{})
+	_, polErr := RunPolicy(tr, p, v8ish{high: 1}, DefaultConfig(), Options{})
+	_, _, mtErr := RunPolicyMT([]*trace.Trace{tr, tr}, p, v8ish{high: 1}, DefaultConfig(), Options{})
+	for name, err := range map[string]error{"Run": runErr, "RunPolicy": polErr, "RunPolicyMT": mtErr} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
 	}
 }

@@ -68,53 +68,18 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		// interleaved threads would produce overlapping exec spans.
 		return nil, nil, fmt.Errorf("sim: Options.Recorder is not supported for multi-threaded runs")
 	}
-	nf := p.NumFuncs()
+	e, err := acquireEngine(p, cfg, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer e.release()
+	nf := e.t.nf
 	period := pol.SamplePeriod()
 	if period < 0 {
 		return nil, nil, fmt.Errorf("sim: policy sample period must be >= 0, got %d", period)
 	}
 
-	res := &Result{FirstReady: make([]int64, nf)}
-	for f := range res.FirstReady {
-		res.FirstReady[f] = -1
-	}
-	eng := &engine{
-		p:        p,
-		queue:    compileQueue{discipline: cfg.Discipline, pool: newWorkerPool(cfg.CompileWorkers)},
-		versions: make([]versionList, nf),
-		res:      res,
-	}
-	maxRequested := make([]profile.Level, nf)
-	requested := make([]bool, nf)
-	seq := 0
-	enqueue := func(f trace.FuncID, l profile.Level, arrival int64) error {
-		if l < 0 || int(l) >= p.Levels {
-			return fmt.Errorf("sim: policy requested level %d for function %d outside [0,%d)", l, f, p.Levels)
-		}
-		if requested[f] && l <= maxRequested[f] {
-			return nil
-		}
-		first := !requested[f]
-		requested[f] = true
-		maxRequested[f] = l
-		seq++
-		if first {
-			for _, r := range eng.queue.pending {
-				if !r.first {
-					res.FirstBehindRecompiles++
-					break
-				}
-			}
-		}
-		eng.queue.push(pendingReq{f: f, level: l, arrival: arrival, first: first, seq: seq})
-		if n := len(eng.queue.pending); n > res.MaxPending {
-			res.MaxPending = n
-		}
-		return nil
-	}
-
 	ts := make([]*mtThread, len(threads))
-	callNum := make([]int64, nf) // global invocation counts, shared
 	for i, tr := range threads {
 		if err := tr.Validate(nf); err != nil {
 			return nil, nil, err
@@ -127,7 +92,7 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		// Candidate events: the next compile assignment and each thread's
 		// next step (issue its call's requests, or start executing once a
 		// version is ready). Assignments commit first on ties: they unblock.
-		na, havePending := eng.nextAssignTime()
+		na := e.nextAt
 		bestThread := -1
 		bestTime := inf
 		bestIsIssue := false
@@ -141,12 +106,8 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 				if t.clock < bestTime {
 					bestTime, bestThread, bestIsIssue = t.clock, i, true
 				}
-			case eng.versions[f].firstReady() >= 0:
-				start := t.clock
-				if r := eng.versions[f].firstReady(); r > start {
-					start = r
-				}
-				if start < bestTime {
+			case e.c.tab[f].ready >= 0:
+				if start := max(t.clock, e.c.tab[f].ready); start < bestTime {
 					bestTime, bestThread, bestIsIssue = start, i, false
 				}
 			}
@@ -154,10 +115,8 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 			// an assignment event.
 		}
 
-		if havePending && (bestThread < 0 || na <= bestTime) {
-			if !eng.drainOne() {
-				return nil, nil, fmt.Errorf("sim: internal error: pending queue did not drain")
-			}
+		if na != noAssign && (bestThread < 0 || na <= bestTime) {
+			e.drainOne()
 			continue
 		}
 		if bestThread < 0 {
@@ -166,14 +125,15 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		t := ts[bestThread]
 		f := t.calls[t.idx]
 		if bestIsIssue {
-			callNum[f]++
-			for _, r := range pol.BeforeCall(f, callNum[f], t.clock) {
-				if err := enqueue(r.Func, r.Level, t.clock); err != nil {
+			fr := &e.fns[f]
+			fr.calls++
+			for _, r := range pol.BeforeCall(f, fr.calls, t.clock) {
+				if err := e.enqueue(r.Func, r.Level, t.clock); err != nil {
 					return nil, nil, err
 				}
 			}
-			if !requested[f] {
-				if err := enqueue(f, pol.FirstCall(f, t.clock), t.clock); err != nil {
+			if fr.max < 0 {
+				if err := e.enqueue(f, pol.FirstCall(f, t.clock), t.clock); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -186,12 +146,11 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		if start > t.clock {
 			t.res.Bubble += start - t.clock
 		}
-		eng.drainArrived(start)
-		level, ok := eng.versions[f].latestAt(start)
-		if !ok {
-			return nil, nil, &ErrNoReadyVersion{Func: f, Time: start}
+		e.drainArrived(start)
+		_, dur, err := e.version(f, start)
+		if err != nil {
+			return nil, nil, err
 		}
-		dur := p.ExecTime(f, level)
 		if opts.ExecVariation > 0 {
 			// Per-call factors key on a global, order-independent index:
 			// thread id mixed with the thread-local call index.
@@ -204,7 +163,7 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 			}
 			for t.nextSample < end {
 				for _, r := range pol.Sample(f, t.nextSample) {
-					if err := enqueue(r.Func, r.Level, t.nextSample); err != nil {
+					if err := e.enqueue(r.Func, r.Level, t.nextSample); err != nil {
 						return nil, nil, err
 					}
 				}
@@ -219,10 +178,7 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		t.issued = false
 	}
 
-	eng.drainAll()
-	for f := range eng.versions {
-		res.FirstReady[f] = eng.versions[f].firstReady()
-	}
+	res := e.result()
 	perThread := make([]ThreadResult, len(ts))
 	for i, t := range ts {
 		perThread[i] = t.res

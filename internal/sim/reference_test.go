@@ -49,6 +49,8 @@ func refRun(tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opt
 	return res, nil
 }
 
+func newWorkerPool(w int) *workerPool { return &workerPool{free: make([]int64, w)} }
+
 // refCalls executes the trace against prepared version lists, filling the
 // execution-side fields of res. A call reached before any version of its
 // function exists yields a *ErrNoReadyVersion.

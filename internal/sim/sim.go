@@ -231,19 +231,10 @@ func (v *versionList) latestAt(t int64) (profile.Level, bool) {
 	return 0, false
 }
 
-func (v *versionList) firstReady() int64 {
-	if len(v.vs) == 0 {
-		return -1
-	}
-	return v.vs[0].done
-}
-
 // workerPool assigns jobs to the earliest-free of w workers.
 type workerPool struct {
 	free []int64 // free[i] is when worker i becomes idle
 }
-
-func newWorkerPool(w int) *workerPool { return &workerPool{free: make([]int64, w)} }
 
 // assign runs a job of the given duration arriving at the given time on the
 // earliest-free worker and returns (worker, start, done).
