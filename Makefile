@@ -68,9 +68,14 @@ bench:
 # simulator's execution loop must not allocate at all; a warm sim.Evaluator
 # and a warm serial BnB searcher must be allocation-free; a cold
 # sim.Evaluator keeps at most 8 bytes per call (TestEvaluatorPerCallBytes); a
-# warm arena-backed IAR run must stay at or under 50 allocations and well
-# under the committed pre-arena bytes-per-op (TestIARArenaAllocGuard gates
-# both from the root BenchmarkIAR path); and branch-and-bound must prove
+# warm one-shot IAR run on a held core.IARPlanner must stay at or under 50
+# allocations and 650 KB, ten times under the first implementation's
+# bytes-per-op (TestIARArenaAllocGuard gates both from the root BenchmarkIAR
+# path, TestIARArenaWarmAllocGuard the count in internal/core); the online
+# replanner's warm hot loop stays near zero allocations per call and its
+# planner at least 3x cheaper than from-scratch IAR on every replan
+# (TestOnlineObserveAllocGuard, TestOnlineReplanSpeedupGuard); and
+# branch-and-bound must prove
 # optimality on the 8-function study instance well inside DefaultMaxNodes. The tests assert the
 # budgets; the benchmark runs print the numbers for the log. The exact-solver
 # pair gates the oracle the same way: a warm Solver stays under its small
@@ -121,8 +126,8 @@ bench-json-search:
 # Machine-readable online-scheduling benchmarks: the replanning IAR scheduler
 # across the lookahead ladder (regret vs offline IAR and scheduler-side
 # ns/call reported as custom metrics), the long-stream incremental-replanning
-# headline (sched-ns/call and replan-speedup vs the frozen from-scratch
-# reference), the three schedulers head-to-head at one bounded window, and
+# headline (sched-ns/call and replan-speedup vs a test-only scheduler that
+# runs from-scratch core.IAR at every replan), the three schedulers head-to-head at one bounded window, and
 # the workload generator itself, collected into BENCH_online.json.
 bench-json-online:
 	@{ $(GO) test -run='^$$' -bench='BenchmarkOnlineWindow|BenchmarkOnlineLongStream|BenchmarkOnlineSchedulers|BenchmarkWorkloadRender' \

@@ -1,8 +1,8 @@
 // TestIARArenaAllocGuard is the BenchmarkIAR budget wired into
 // `make bench-guard`: on the three workloads the benchmark tracks, a warm
-// arena-backed IAR run must stay at or under 50 allocations and at or under
-// 650 KB allocated per run — ten times below the ~6.5 MB/op the pre-arena
-// implementation committed to BENCH_core.json.
+// one-shot IAR run on a held planner must stay at or under 50 allocations
+// and at or under 650 KB allocated per run — ten times below the ~6.5 MB/op
+// the first, unpooled implementation committed to BENCH_core.json.
 package repro_test
 
 import (
@@ -36,31 +36,31 @@ func TestIARArenaAllocGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := core.IAROptions{Model: w.DefaultModel()}
-			arena := core.NewIARArena()
-			if _, err := arena.IAR(w.Trace, w.Profile, opts); err != nil {
+			pl := new(core.IARPlanner)
+			if _, err := pl.IAR(w.Trace, w.Profile, opts); err != nil {
 				t.Fatal(err)
 			}
 
 			allocs := testing.AllocsPerRun(reps, func() {
-				if _, err := arena.IAR(w.Trace, w.Profile, opts); err != nil {
+				if _, err := pl.IAR(w.Trace, w.Profile, opts); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > maxAllocsPerRun {
-				t.Errorf("warm arena IAR: %.0f allocs/run, budget %d", allocs, maxAllocsPerRun)
+				t.Errorf("warm planner IAR: %.0f allocs/run, budget %d", allocs, maxAllocsPerRun)
 			}
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < reps; i++ {
-				if _, err := arena.IAR(w.Trace, w.Profile, opts); err != nil {
+				if _, err := pl.IAR(w.Trace, w.Profile, opts); err != nil {
 					t.Fatal(err)
 				}
 			}
 			runtime.ReadMemStats(&after)
 			bytesPerRun := (after.TotalAlloc - before.TotalAlloc) / reps
 			if bytesPerRun > maxBytesPerRun {
-				t.Errorf("warm arena IAR: %d B/run, budget %d", bytesPerRun, maxBytesPerRun)
+				t.Errorf("warm planner IAR: %d B/run, budget %d", bytesPerRun, maxBytesPerRun)
 			}
 			t.Logf("%s: %.0f allocs/run, %d B/run (budgets %d, %d)",
 				name, allocs, bytesPerRun, maxAllocsPerRun, maxBytesPerRun)

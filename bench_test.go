@@ -122,8 +122,8 @@ func loadBench(b *testing.B, name string) *dacapo.Workload {
 }
 
 // BenchmarkIAR measures the scheduling algorithm itself (the quantity of
-// Table 2), per workload. /warm holds one arena across iterations, the
-// steady state of a long-lived caller; /cold builds a fresh arena per
+// Table 2), per workload. /warm holds one planner across iterations, the
+// steady state of a long-lived caller; /cold builds a fresh planner per
 // iteration, so every buffer is sized anew. Each reads a deterministic B/op,
 // which the pooled core.IAR wrapper does not: it is warm or cold depending
 // on whether a garbage collection emptied the pool.
@@ -133,17 +133,17 @@ func BenchmarkIAR(b *testing.B) {
 			b.Run(mode+"/"+name, func(b *testing.B) {
 				w := loadBench(b, name)
 				opts := core.IAROptions{Model: w.DefaultModel()}
-				arena := core.NewIARArena()
-				if _, err := arena.IAR(w.Trace, w.Profile, opts); err != nil {
+				pl := new(core.IARPlanner)
+				if _, err := pl.IAR(w.Trace, w.Profile, opts); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if mode == "cold" {
-						arena = core.NewIARArena()
+						pl = new(core.IARPlanner)
 					}
-					if _, err := arena.IAR(w.Trace, w.Profile, opts); err != nil {
+					if _, err := pl.IAR(w.Trace, w.Profile, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

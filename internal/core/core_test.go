@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/profile"
@@ -347,6 +348,73 @@ func TestClassifyIAR(t *testing.T) {
 	if !has(cls.Append, 2) {
 		t.Errorf("func 2 not in Append: %+v", cls)
 	}
+
+	// LowLevel 1 is the top level of this profile: no function has a
+	// higher level to reach, so every one is Other.
+	low1, err := ClassifyIAR(tr, p, IAROptions{LowLevel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(low1.Other) != 3 || len(low1.Append)+len(low1.Replace) != 0 {
+		t.Errorf("LowLevel 1: %+v, want every function in Other", low1)
+	}
+	// The options are validated as IAR validates them.
+	if _, err := ClassifyIAR(tr, p, IAROptions{K: -1}); err == nil || err.Error() != "core: IAR K must be positive, got -1" {
+		t.Errorf("K -1: err = %v, want the IAR K error", err)
+	}
+
+	// On a realistic workload, across the option matrix, the sets are the
+	// reference implementation's step-2 classes.
+	wtr, wp := testWorkload(3)
+	for _, m := range iarOptionMatrix(wp) {
+		got, err := ClassifyIAR(wtr, wp, m.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if want := legacyClassify(t, wtr, wp, m.opts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: A/R/O = %d/%d/%d, reference %d/%d/%d", m.name,
+				len(got.Append), len(got.Replace), len(got.Other),
+				len(want.Append), len(want.Replace), len(want.Other))
+		}
+	}
+}
+
+// legacyClassify is legacyIAR's steps 1 and 2 — the init pass and Formulas
+// 1 and 2 — returning the classes in first-appearance order.
+func legacyClassify(t *testing.T, tr *trace.Trace, p *profile.Profile, opts IAROptions) IARClassification {
+	t.Helper()
+	if opts.K == 0 {
+		opts.K = 5
+	}
+	model := opts.Model
+	if model == nil {
+		model = profile.NewOracle(p)
+	}
+	eval, err := sim.NewEvaluator(tr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, counts, low := tr.FirstCallOrder(), tr.Counts(), opts.LowLevel
+	n1, err := legacyIARInitN1(eval, tr, p.NumFuncs(), order, low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cls IARClassification
+	for _, f := range order {
+		n := counts[f]
+		high := max(profile.CostEffectiveLevel(model, f, n), low)
+		cl, ch := p.CompileTime(f, low), p.CompileTime(f, high)
+		el, eh := p.ExecTime(f, low), p.ExecTime(f, high)
+		switch {
+		case high == low || ch+n*eh > cl+n*el:
+			cls.Other = append(cls.Other, f)
+		case ch-cl > opts.K*n1[f]*(el-eh):
+			cls.Append = append(cls.Append, f)
+		default:
+			cls.Replace = append(cls.Replace, f)
+		}
+	}
+	return cls
 }
 
 // TestIARNeverWorseThanInitOnly: IAR must never lose to its own step-1

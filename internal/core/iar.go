@@ -69,27 +69,29 @@ type iarFunc struct {
 //     execution.
 //
 // The returned schedule compiles every called function at least once. Cost is
-// O(N + M log M) for N calls and M distinct functions, dominated by three
-// linear simulation passes.
+// O(N + M log M) for N calls and M distinct functions, dominated by two
+// linear simulation passes (the step-2 schedule and its fill-slack
+// candidate) plus the init pass, which stops at the init schedule's compile
+// end.
 //
-// The computation runs on a pooled IARArena — one arena per concurrent
-// caller, warm buffers kept process-wide — and the result is an owned copy,
-// so the function keeps plain value semantics. Callers that run IAR in a
-// tight loop (replanners, the serving path) hold their own arena and call
-// (*IARArena).IAR directly to also skip the copy.
+// The computation runs on a pooled IARPlanner — reset, then planned once
+// over the whole trace; one planner per concurrent caller, warm buffers kept
+// process-wide — and the result is an owned copy, so the function keeps
+// plain value semantics. Callers that run IAR in a tight loop (the serving
+// path, the timing harnesses) hold their own planner and call
+// (*IARPlanner).IAR directly to also skip the copy.
 func IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Schedule, error) {
-	a := iarPool.Get().(*IARArena)
+	pl := iarPool.Get().(*IARPlanner)
+	defer iarPool.Put(pl)
 	iarCounters.pooledRuns.Add(1)
-	sched, err := a.IAR(tr, p, opts)
+	sched, err := pl.IAR(tr, p, opts)
 	if err != nil {
-		iarPool.Put(a)
 		return nil, err
 	}
 	out := sched.Clone()
 	if out == nil {
 		out = Schedule{}
 	}
-	iarPool.Put(a)
 	return out, nil
 }
 
@@ -102,46 +104,27 @@ type IARClassification struct {
 }
 
 // ClassifyIAR runs only the classification stage of IAR (Formulas 1 and 2 of
-// Fig. 3) and returns the three sets.
+// Fig. 3) and returns the three sets, each in first-appearance order. It
+// validates and honours the options exactly as IAR does, LowLevel included.
 func ClassifyIAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (IARClassification, error) {
-	if opts.K == 0 {
-		opts.K = 5
-	}
-	model := opts.Model
-	if model == nil {
-		model = profile.NewOracle(p)
-	}
 	var cls IARClassification
-	if err := tr.Validate(p.NumFuncs()); err != nil {
+	pl := iarPool.Get().(*IARPlanner)
+	defer iarPool.Put(pl)
+	if err := pl.Reset(p, opts); err != nil {
 		return cls, err
 	}
-	order := tr.FirstCallOrder()
-	if len(order) == 0 {
-		return cls, nil
-	}
-	counts := tr.Counts()
-
-	a := iarPool.Get().(*IARArena)
-	defer iarPool.Put(a)
-	if err := a.bind(tr, p); err != nil {
+	if _, err := pl.classify(tr); err != nil {
 		return cls, err
 	}
-	n1, err := a.initN1(tr, p.NumFuncs(), order, 0)
-	if err != nil {
-		return cls, err
-	}
-	for _, f := range order {
-		n := counts[f]
-		high := profile.CostEffectiveLevel(model, f, n)
-		cl, ch := p.CompileTime(f, 0), p.CompileTime(f, high)
-		el, eh := p.ExecTime(f, 0), p.ExecTime(f, high)
-		switch {
-		case high == 0 || ch+n*eh > cl+n*el:
-			cls.Other = append(cls.Other, f)
-		case ch-cl > opts.K*n1[f]*(el-eh):
-			cls.Append = append(cls.Append, f)
+	for i := range pl.funcs {
+		ff := &pl.funcs[i]
+		switch ff.class {
+		case 'A':
+			cls.Append = append(cls.Append, ff.f)
+		case 'R':
+			cls.Replace = append(cls.Replace, ff.f)
 		default:
-			cls.Replace = append(cls.Replace, f)
+			cls.Other = append(cls.Other, ff.f)
 		}
 	}
 	return cls, nil

@@ -12,11 +12,12 @@ import (
 	"repro/internal/trace"
 )
 
-// legacyIAR is the pre-arena implementation, kept verbatim as the reference
-// for the differential tests below: the arena-backed IAR must reproduce its
-// schedule, simulated result, and error strings bit for bit on every corpus
-// instance and option combination. Do not "improve" this copy — its value is
-// being frozen.
+// legacyIAR is the straightforward implementation of IAR, kept verbatim as
+// the reference for the differential tests below: the planner — one-shot
+// through core.IAR and (*IARPlanner).IAR, and growing through Plan — must
+// reproduce its schedule, simulated result, and error strings bit for bit
+// on every corpus instance and option combination. Do not "improve" this
+// copy — its value is being frozen.
 func legacyIAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Schedule, error) {
 	if opts.K == 0 {
 		opts.K = 5
@@ -198,7 +199,7 @@ func legacyIAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Schedule, 
 	return sched, nil
 }
 
-// legacyIARInitN1 is the pre-arena init/n1 pass, verbatim.
+// legacyIARInitN1 is the reference init/n1 pass, verbatim.
 func legacyIARInitN1(eval *sim.Evaluator, tr *trace.Trace, nf int, order []trace.FuncID, low profile.Level) ([]int64, error) {
 	initSched := make(Schedule, len(order))
 	for i, f := range order {
@@ -256,11 +257,11 @@ func sameSchedule(t *testing.T, label string, got, want Schedule) {
 }
 
 // TestIARArenaBitIdenticalSynthetic sweeps synthetic workloads and the full
-// option matrix: for each instance the pooled wrapper and a shared warm arena
-// (rebinding across instances) must reproduce the legacy schedule exactly,
-// and the schedules must simulate to the same result.
+// option matrix: for each instance the pooled wrapper and a shared warm
+// planner (reset across instances) must reproduce the legacy schedule
+// exactly, and the schedules must simulate to the same result.
 func TestIARArenaBitIdenticalSynthetic(t *testing.T) {
-	arena := NewIARArena()
+	pl := new(IARPlanner)
 	for seed := int64(1); seed <= 4; seed++ {
 		tr, p := testWorkload(seed)
 		for _, m := range iarOptionMatrix(p) {
@@ -274,11 +275,11 @@ func TestIARArenaBitIdenticalSynthetic(t *testing.T) {
 				t.Fatalf("%s: wrapper: %v", label, err)
 			}
 			sameSchedule(t, label+"/wrapper", got, want)
-			agot, err := arena.IAR(tr, p, m.opts)
+			pgot, err := pl.IAR(tr, p, m.opts)
 			if err != nil {
-				t.Fatalf("%s: arena: %v", label, err)
+				t.Fatalf("%s: planner: %v", label, err)
 			}
-			sameSchedule(t, label+"/arena", agot, want)
+			sameSchedule(t, label+"/planner", pgot, want)
 
 			wres, err := sim.Run(tr, p, want, sim.DefaultConfig(), sim.Options{})
 			if err != nil {
@@ -304,7 +305,7 @@ func TestIARArenaBitIdenticalCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus differential is not short")
 	}
-	arena := NewIARArena()
+	pl := new(IARPlanner)
 	for _, name := range []string{"antlr", "eclipse", "lusearch", "jython"} {
 		bench, err := dacapo.ByName(name)
 		if err != nil {
@@ -327,17 +328,17 @@ func TestIARArenaBitIdenticalCorpus(t *testing.T) {
 				t.Fatalf("%s: wrapper: %v", label, err)
 			}
 			sameSchedule(t, label+"/wrapper", got, want)
-			agot, err := arena.IAR(w.Trace, w.Profile, opts)
+			pgot, err := pl.IAR(w.Trace, w.Profile, opts)
 			if err != nil {
-				t.Fatalf("%s: arena: %v", label, err)
+				t.Fatalf("%s: planner: %v", label, err)
 			}
-			sameSchedule(t, label+"/arena", agot, want)
+			sameSchedule(t, label+"/planner", pgot, want)
 		}
 	}
 }
 
 // TestIARArenaErrorStrings pins error bit-identity: bad options, bad traces,
-// and the empty trace must come back from the arena exactly as from the
+// and the empty trace must come back from the planner exactly as from the
 // legacy implementation — same string, same (non-)nil schedule.
 func TestIARArenaErrorStrings(t *testing.T) {
 	tr, p := testWorkload(7)
@@ -352,7 +353,7 @@ func TestIARArenaErrorStrings(t *testing.T) {
 		{"lowLevelNegative", tr, IAROptions{LowLevel: -1}},
 		{"invalidTrace", badTrace, IAROptions{}},
 	}
-	arena := NewIARArena()
+	pl := new(IARPlanner)
 	for _, c := range cases {
 		_, werr := legacyIAR(c.tr, p, c.opts)
 		if werr == nil {
@@ -362,20 +363,20 @@ func TestIARArenaErrorStrings(t *testing.T) {
 		if gerr == nil || gerr.Error() != werr.Error() {
 			t.Errorf("%s: wrapper error = %v, want %v", c.name, gerr, werr)
 		}
-		_, aerr := arena.IAR(c.tr, p, c.opts)
-		if aerr == nil || aerr.Error() != werr.Error() {
-			t.Errorf("%s: arena error = %v, want %v", c.name, aerr, werr)
+		s, perr := pl.IAR(c.tr, p, c.opts)
+		if perr == nil || perr.Error() != werr.Error() || s != nil {
+			t.Errorf("%s: planner = %v, %v; want nil, %v", c.name, s, perr, werr)
 		}
 	}
 
-	// The arena must stay usable after an error run.
+	// The planner must stay usable after an error run.
 	want, err := legacyIAR(tr, p, IAROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := arena.IAR(tr, p, IAROptions{})
+	got, err := pl.IAR(tr, p, IAROptions{})
 	if err != nil {
-		t.Fatalf("arena after errors: %v", err)
+		t.Fatalf("planner after errors: %v", err)
 	}
 	sameSchedule(t, "afterErrors", got, want)
 
@@ -385,7 +386,7 @@ func TestIARArenaErrorStrings(t *testing.T) {
 	for name, f := range map[string]func() (Schedule, error){
 		"legacy":  func() (Schedule, error) { return legacyIAR(empty, p, IAROptions{}) },
 		"wrapper": func() (Schedule, error) { return IAR(empty, p, IAROptions{}) },
-		"arena":   func() (Schedule, error) { return arena.IAR(empty, p, IAROptions{}) },
+		"planner": func() (Schedule, error) { return pl.IAR(empty, p, IAROptions{}) },
 	} {
 		s, err := f()
 		if err != nil {
@@ -398,7 +399,7 @@ func TestIARArenaErrorStrings(t *testing.T) {
 }
 
 // TestIARWrapperResultIsOwned: the pooled wrapper's result must not alias the
-// arena that produced it — corrupting it must not change later runs.
+// planner that produced it — corrupting it must not change later runs.
 func TestIARWrapperResultIsOwned(t *testing.T) {
 	tr, p := testWorkload(11)
 	first, err := IAR(tr, p, IAROptions{})
@@ -416,9 +417,10 @@ func TestIARWrapperResultIsOwned(t *testing.T) {
 	sameSchedule(t, "afterCorruption", second, want)
 }
 
-// TestIARArenaWarmAllocGuard enforces the PR's headline budget: a warm arena
-// run on a real workload stays at or under 50 allocations. (The cold run that
-// sizes the buffers is excluded, as is workload loading.)
+// TestIARArenaWarmAllocGuard enforces the warm-run budget: a one-shot IAR
+// run on a held, already-sized planner over a real workload stays at or
+// under 50 allocations. (The cold run that sizes the buffers is excluded, as
+// is workload loading.)
 func TestIARArenaWarmAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard loads a real workload")
@@ -432,18 +434,18 @@ func TestIARArenaWarmAllocGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := w.DefaultModel()
-	arena := NewIARArena()
-	if _, err := arena.IAR(w.Trace, w.Profile, IAROptions{Model: model}); err != nil {
+	pl := new(IARPlanner)
+	if _, err := pl.IAR(w.Trace, w.Profile, IAROptions{Model: model}); err != nil {
 		t.Fatal(err)
 	}
 	before := ReadIARStats()
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := arena.IAR(w.Trace, w.Profile, IAROptions{Model: model}); err != nil {
+		if _, err := pl.IAR(w.Trace, w.Profile, IAROptions{Model: model}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 50 {
-		t.Errorf("warm arena IAR allocates %.0f objects/run, budget is 50", allocs)
+		t.Errorf("warm planner IAR allocates %.0f objects/run, budget is 50", allocs)
 	}
 	after := ReadIARStats()
 	if after.WarmRuns <= before.WarmRuns {
@@ -451,7 +453,7 @@ func TestIARArenaWarmAllocGuard(t *testing.T) {
 	}
 }
 
-// TestIARArenaConcurrent hammers per-goroutine arenas (and the pooled
+// TestIARArenaConcurrent hammers per-goroutine planners (and the pooled
 // wrapper) on shared instances; run with -race this doubles as the data-race
 // proof for the shared trace/profile/counter state.
 func TestIARArenaConcurrent(t *testing.T) {
@@ -472,16 +474,16 @@ func TestIARArenaConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			arena := NewIARArena()
+			pl := new(IARPlanner)
 			for i := 0; i < 5; i++ {
-				s1, err := arena.IAR(tr1, p1, IAROptions{})
+				s1, err := pl.IAR(tr1, p1, IAROptions{})
 				if err != nil {
 					errs <- err
 					return
 				}
 				for j := range want1 {
 					if s1[j] != want1[j] {
-						errs <- fmt.Errorf("goroutine %d run %d: arena schedule diverged at %d", g, i, j)
+						errs <- fmt.Errorf("goroutine %d run %d: planner schedule diverged at %d", g, i, j)
 						return
 					}
 				}

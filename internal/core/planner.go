@@ -4,19 +4,26 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// IARPlanner is the warm-start form of IAR for a growing visible prefix: the
-// online replanner calls Plan once per stride with an ever-longer trace, and
-// the planner re-derives only what the new calls can change instead of
-// re-running the whole heuristic. Its plans are bit-identical to running
-// (*IARArena).IAR from scratch on the same prefix — same events, same order —
-// which the differential tests in planner_test.go pin across option matrices
-// and growth patterns.
+// IARPlanner is IAR (§5.1, Fig. 3), the one implementation of it. Reset binds
+// it to a profile and options with an empty prefix; each Plan call then
+// extends the visible trace and returns the IAR schedule of the whole prefix,
+// re-deriving only what the new calls can change. From-scratch IAR is a
+// planner given the whole trace once: Reset, then one Plan — which is what
+// (*IARPlanner).IAR and the package-level IAR do. The online replanner calls
+// Plan once per stride with an ever-longer trace. Every plan is
+// bit-identical to the reference heuristic run from scratch on the same
+// prefix — same events, same order, same error strings — which the
+// differential tests in iar_test.go and planner_test.go pin across option
+// matrices and growth patterns.
 //
 // # What carries over between plans
 //
@@ -24,11 +31,14 @@ import (
 // Formula 2's n1 (calls issued while the init schedule is still compiling),
 // the classification ('O'/'A'/'R'), and the chosen high level. n1 is exact at
 // all times without re-simulation: the init schedule only ever grows at the
-// tail (new functions, low level), so its resumable simulation extends in
-// O(new calls), and since call starts are non-decreasing the set of calls
-// starting before the compile end is a prefix of call indices — a frontier
-// pointer re-advanced after each extension yields exactly the from-scratch
-// count.
+// tail (new functions, low level), so its resumable simulation extends with
+// the new calls, and since call starts are non-decreasing the calls starting
+// before the compile end are a prefix of the trace. The init simulation runs
+// exactly that prefix (sim.PrefixSim.ExecUntilCompileEnd) and n1 counts the
+// calls it ran; no later call can join n1 unless a new function moves the
+// compile end, and then the pass resumes from where it stopped. A one-shot
+// plan over a long trace thus simulates the init schedule only up to its
+// compile end.
 //
 // Only functions whose count or n1 changed since the last plan (the dirty
 // set) are reclassified. If no new function appeared and no dirty function's
@@ -42,16 +52,22 @@ import (
 // re-runs the cheap final selection. The fill-slack accept test and step 4's
 // gap fill are re-decided every plan — both compare make-spans that grow
 // with the stream — so a fast replan is never a stale plan. Otherwise the
-// planner rebuilds the schedule structures with two full simulation passes
-// (from-scratch IAR needs four).
+// planner rebuilds the schedule structures with two full simulation passes,
+// one of the step-2 schedule and one of its fill-slack candidate.
 //
-// # Contract
+// # Ownership and reuse contract
 //
-// Each Plan call's trace must extend the previous call's: the earlier calls
-// unchanged (the planner reads only the new suffix), length non-decreasing.
-// Options are fixed at construction. The returned Schedule aliases the
-// planner's buffers and is valid only until the next Plan call. A planner is
-// not safe for concurrent use.
+// Each Plan call's trace must extend the previous call's since the last
+// Reset: the earlier calls unchanged (the planner reads only the new
+// suffix), length non-decreasing. Options are fixed between Resets. The
+// returned Schedule aliases the planner's buffers and is valid only until
+// the next Plan, IAR or Reset call; callers that keep it must Clone it. The
+// package-level IAR function wraps a pooled planner and returns an owned
+// copy. The zero IARPlanner is ready for IAR or Reset. Reset keeps every
+// buffer, so a planner reused across instances of the same or smaller size
+// allocates (almost) nothing. A planner is not safe
+// for concurrent use; concurrent callers hold one each (the pool hands out
+// one per caller). The trace and profile are treated as immutable.
 type IARPlanner struct {
 	p     *profile.Profile
 	opts  IAROptions
@@ -66,10 +82,10 @@ type IARPlanner struct {
 	order     []trace.FuncID
 	funcs     []iarFunc
 
-	// Formula 2 state: the init schedule's resumable sim and the n1 frontier.
-	initSim  *sim.PrefixSim
-	n1       []int64
-	frontier int
+	// Formula 2 state: the init schedule's resumable sim, run up to its
+	// compile end, and n1.
+	initSim *sim.PrefixSim
+	n1      []int64
 
 	touched     []bool
 	touchedList []trace.FuncID
@@ -91,7 +107,11 @@ type IARPlanner struct {
 	lateBase []int64
 	lateCand []int64
 
-	// Rebuild and step-4 scratch.
+	// Rebuild and step-4 scratch. starts holds the call starts of the last
+	// plan simulation run — the full prefix after a resim, the new calls
+	// after an extension — one buffer for both simulations, since each run's
+	// starts are consumed before the next.
+	starts  []int64
 	slack   []int64
 	suffMin []int64
 	removed []bool
@@ -100,65 +120,112 @@ type IARPlanner struct {
 
 	replans     int64
 	fastReplans int64
+	runs        int64 // one-shot IAR runs
 }
 
-// NewIARPlanner builds a planner over the profile with fixed options,
-// normalized and validated exactly as (*IARArena).IAR does per run.
+// NewIARPlanner returns a planner reset to the profile and options; see
+// Reset for the validation.
 func NewIARPlanner(p *profile.Profile, opts IAROptions) (*IARPlanner, error) {
+	pl := &IARPlanner{}
+	if err := pl.Reset(p, opts); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// Reset rebinds the planner to the profile and options with an empty
+// prefix, keeping its buffers. It normalizes and validates the options (K
+// zero means 5; K negative and a LowLevel outside the profile's levels are
+// errors) and the profile, with the error strings of the reference
+// implementation. On error the planner must be Reset again before Plan.
+func (pl *IARPlanner) Reset(p *profile.Profile, opts IAROptions) error {
 	if opts.K == 0 {
 		opts.K = 5
 	}
 	if opts.K < 0 {
-		return nil, fmt.Errorf("core: IAR K must be positive, got %d", opts.K)
+		return fmt.Errorf("core: IAR K must be positive, got %d", opts.K)
 	}
 	if opts.LowLevel < 0 || int(opts.LowLevel) >= p.Levels {
-		return nil, fmt.Errorf("core: IAR LowLevel %d outside [0,%d)", opts.LowLevel, p.Levels)
+		return fmt.Errorf("core: IAR LowLevel %d outside [0,%d)", opts.LowLevel, p.Levels)
 	}
 	model := opts.Model
 	if model == nil {
 		model = profile.NewOracle(p)
 	}
-	initSim, err := sim.NewPrefixSim(p, sim.DefaultConfig())
-	if err != nil {
-		return nil, err
+	if pl.initSim == nil {
+		pl.initSim, pl.sched2Sim, pl.candSim = new(sim.PrefixSim), new(sim.PrefixSim), new(sim.PrefixSim)
+		iarCounters.planners.Add(1)
+		obs.Default().IARPlannerCreated()
 	}
-	sched2Sim, err := sim.NewPrefixSim(p, sim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	candSim, err := sim.NewPrefixSim(p, sim.DefaultConfig())
-	if err != nil {
-		return nil, err
+	for _, s := range [...]*sim.PrefixSim{pl.initSim, pl.sched2Sim, pl.candSim} {
+		if err := s.Rebind(p, sim.DefaultConfig()); err != nil {
+			return err
+		}
 	}
 	nf := p.NumFuncs()
-	pl := &IARPlanner{
-		p: p, opts: opts, model: model, nf: nf,
-		counts:    make([]int64, nf),
-		firstCall: make([]int, nf),
-		posOf:     make([]int32, nf),
-		n1:        make([]int64, nf),
-		touched:   make([]bool, nf),
-		lateBase:  make([]int64, nf),
-		lateCand:  make([]int64, nf),
-		initSim:   initSim, sched2Sim: sched2Sim, candSim: candSim,
-		// Sized once for the profile, so a growing prefix reallocates
-		// nothing while replanning: a function appears once in the order
-		// and at most twice in any IAR schedule.
-		order:   make([]trace.FuncID, 0, nf),
-		funcs:   make([]iarFunc, 0, nf),
-		slack:   make([]int64, 0, nf),
-		suffMin: make([]int64, 0, nf+1),
-		sched2:  make(Schedule, 0, 2*nf),
-		plan:    make(Schedule, 0, 2*nf),
-	}
-	for f := range pl.firstCall {
+	pl.p, pl.opts, pl.model, pl.nf = p, opts, model, nf
+	pl.nCalls = 0
+	pl.counts = zeroed(pl.counts, nf)
+	pl.n1 = zeroed(pl.n1, nf)
+	pl.touched = zeroed(pl.touched, nf)
+	pl.lateBase = zeroed(pl.lateBase, nf)
+	pl.lateCand = zeroed(pl.lateCand, nf)
+	pl.firstCall = growTo(pl.firstCall, nf)
+	pl.posOf = growTo(pl.posOf, nf)
+	for f := range nf {
 		pl.firstCall[f] = -1
 		pl.posOf[f] = -1
 	}
-	return pl, nil
+	// Sized once for the profile, so a growing prefix reallocates nothing
+	// while replanning: a function appears once in the order and at most
+	// twice in any IAR schedule.
+	pl.order = slices.Grow(pl.order[:0], nf)
+	pl.funcs = slices.Grow(pl.funcs[:0], nf)
+	pl.slack = slices.Grow(pl.slack[:0], nf)
+	pl.suffMin = slices.Grow(pl.suffMin[:0], nf+1)
+	pl.sched2 = slices.Grow(pl.sched2[:0], 2*nf)
+	pl.plan = slices.Grow(pl.plan[:0], 2*nf)
+	pl.touchedList = slices.Grow(pl.touchedList[:0], nf)
+	pl.planValid, pl.haveCand = false, false
+	pl.replans, pl.fastReplans = 0, 0
+	return nil
 }
 
-// Replans returns how many plans the planner has produced.
+// IAR is from-scratch IAR on the planner: Reset to the profile and options,
+// then one Plan over the whole trace. The result aliases the planner (see
+// the type comment); the package-level IAR documents the algorithm.
+func (pl *IARPlanner) IAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Schedule, error) {
+	pl.runs++
+	warm := pl.runs > 1
+	iarCounters.runs.Add(1)
+	if warm {
+		iarCounters.warmRuns.Add(1)
+	}
+	obs.Default().IARRun(warm)
+	if err := pl.Reset(p, opts); err != nil {
+		return nil, err
+	}
+	return pl.Plan(tr)
+}
+
+// growTo resizes a scratch slice to n elements, reusing the backing array
+// when it is large enough. Callers overwrite or clear the contents.
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed is growTo with the contents cleared.
+func zeroed[T any](s []T, n int) []T {
+	s = growTo(s, n)
+	clear(s)
+	return s
+}
+
+// Replans returns how many plans the planner has produced since the last
+// Reset.
 func (pl *IARPlanner) Replans() int64 { return pl.replans }
 
 // FastReplans returns how many of those plans took the stable path — no
@@ -176,9 +243,37 @@ func (pl *IARPlanner) touch(f trace.FuncID) {
 // Plan returns the IAR schedule for the visible prefix; see the type comment
 // for the growth contract and the identity guarantee.
 func (pl *IARPlanner) Plan(visible *trace.Trace) (Schedule, error) {
+	stable, err := pl.classify(visible)
+	if err != nil {
+		return nil, err
+	}
+	if len(pl.order) == 0 {
+		return Schedule{}, nil
+	}
+	pl.replans++
+	if stable {
+		pl.fastReplans++
+		err = pl.extendPlanSims(visible.Calls[pl.sched2Sim.NumCalls():])
+	} else {
+		err = pl.rebuildPlans(visible.Calls)
+	}
+	pl.planValid = err == nil
+	if err != nil {
+		return nil, err
+	}
+	return pl.finishPlan(), nil
+}
+
+// classify absorbs the calls the visible prefix adds — counts, first
+// appearances (which extend the init schedule), the init pass and n1 — and
+// reclassifies the functions they touched (Formulas 1 and 2, Fig. 3 step
+// 2). It reports whether the cached plan structure is still the one
+// from-scratch IAR would build: no new function and no changed (class,
+// high) outcome.
+func (pl *IARPlanner) classify(visible *trace.Trace) (stable bool, err error) {
 	calls := visible.Calls
 	if len(calls) < pl.nCalls {
-		return nil, fmt.Errorf("core: planner visible prefix shrank from %d to %d calls", pl.nCalls, len(calls))
+		return false, fmt.Errorf("core: planner visible prefix shrank from %d to %d calls", pl.nCalls, len(calls))
 	}
 	delta := calls[pl.nCalls:]
 
@@ -188,10 +283,10 @@ func (pl *IARPlanner) Plan(visible *trace.Trace) (Schedule, error) {
 	pl.touchedList = pl.touchedList[:0]
 	for di, f := range delta {
 		if f < 0 {
-			return nil, fmt.Errorf("trace %q: call %d has negative function id %d", visible.Name, pl.nCalls+di, f)
+			return false, fmt.Errorf("trace %q: call %d has negative function id %d", visible.Name, pl.nCalls+di, f)
 		}
 		if int(f) >= pl.nf {
-			return nil, fmt.Errorf("trace %q: call %d references function %d beyond %d", visible.Name, pl.nCalls+di, f, pl.nf)
+			return false, fmt.Errorf("trace %q: call %d references function %d beyond %d", visible.Name, pl.nCalls+di, f, pl.nf)
 		}
 		if pl.firstCall[f] < 0 {
 			pl.firstCall[f] = pl.nCalls + di
@@ -200,34 +295,29 @@ func (pl *IARPlanner) Plan(visible *trace.Trace) (Schedule, error) {
 			pl.funcs = append(pl.funcs, iarFunc{f: f, pos: len(pl.funcs), appended: -1})
 			newFuncs = true
 			if err := pl.initSim.AppendCompile(sim.CompileEvent{Func: f, Level: pl.opts.LowLevel}); err != nil {
-				return nil, err
+				return false, err
 			}
 		}
 		pl.counts[f]++
 		pl.touch(f)
 	}
-	if err := pl.initSim.ExecCalls(delta); err != nil {
-		return nil, err
-	}
 	pl.nCalls = len(calls)
 
-	// Advance the n1 frontier under the (possibly grown) compile end.
-	starts, ce := pl.initSim.CallStarts(), pl.initSim.CompileEnd()
-	for pl.frontier < len(starts) && starts[pl.frontier] < ce {
-		f := calls[pl.frontier]
+	// The init pass resumes at its first unexecuted call and runs the calls
+	// that start before the (possibly grown) compile end: n1's new hits.
+	n0 := pl.initSim.NumCalls()
+	n, err := pl.initSim.ExecUntilCompileEnd(calls[n0:])
+	if err != nil {
+		return false, err
+	}
+	for _, f := range calls[n0 : n0+n] {
 		pl.n1[f]++
 		pl.touch(f)
-		pl.frontier++
 	}
-
-	if len(pl.order) == 0 {
-		return Schedule{}, nil
-	}
-	pl.replans++
 
 	// Reclassify the dirty set; any changed (class, high) outcome or new
 	// function voids the cached plan structure.
-	stable := pl.planValid && !newFuncs
+	stable = pl.planValid && !newFuncs
 	for _, f := range pl.touchedList {
 		pl.touched[f] = false
 		ff := &pl.funcs[pl.posOf[f]]
@@ -253,58 +343,40 @@ func (pl *IARPlanner) Plan(visible *trace.Trace) (Schedule, error) {
 		}
 		ff.n, ff.low, ff.high, ff.cl, ff.el, ff.ch, ff.eh, ff.class = n, low, high, cl, el, ch, eh, class
 	}
-
-	if stable {
-		pl.fastReplans++
-		if err := pl.extendPlanSims(delta); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := pl.rebuildPlans(calls); err != nil {
-			pl.planValid = false
-			return nil, err
-		}
-		pl.planValid = true
-	}
-	return pl.finishPlan(), nil
+	return stable, nil
 }
 
 // extendPlanSims advances the step-2 and candidate simulations by the new
 // calls only — the whole cost of a fast replan.
 func (pl *IARPlanner) extendPlanSims(delta []trace.FuncID) error {
-	n0 := pl.sched2Sim.NumCalls()
-	if err := pl.sched2Sim.ExecCalls(delta); err != nil {
-		pl.planValid = false
+	if err := pl.execLate(pl.sched2Sim, delta, pl.lateBase); err != nil {
 		return err
 	}
-	accrueLate(pl.sched2Sim, pl.lateBase, n0, delta)
 	if pl.haveCand {
-		n0 = pl.candSim.NumCalls()
-		if err := pl.candSim.ExecCalls(delta); err != nil {
-			pl.planValid = false
-			return err
-		}
-		accrueLate(pl.candSim, pl.lateCand, n0, delta)
+		return pl.execLate(pl.candSim, delta, pl.lateCand)
 	}
 	return nil
 }
 
-// accrueLate folds calls n0.. of the simulation into the per-function
-// late-call counts: a call is late when it starts at or after the
-// simulation's compile end.
-func accrueLate(s *sim.PrefixSim, late []int64, n0 int, delta []trace.FuncID) {
-	starts, ce := s.CallStarts(), s.CompileEnd()
-	for j, f := range delta {
-		if starts[n0+j] >= ce {
-			late[f]++
-		}
+// execLate executes calls on a plan simulation, into the shared starts
+// scratch, and adds the calls that start at or after its compile end to the
+// per-function late-call counts. Starts never decrease, so the late calls
+// are a suffix.
+func (pl *IARPlanner) execLate(s *sim.PrefixSim, calls []trace.FuncID, late []int64) error {
+	var err error
+	if pl.starts, err = s.ExecCalls(pl.starts[:0], calls); err != nil {
+		return err
 	}
+	k, _ := slices.BinarySearch(pl.starts, s.CompileEnd())
+	for _, f := range calls[k:] {
+		late[f]++
+	}
+	return nil
 }
 
 // rebuildPlans reconstructs the step-2 schedule and the fill-slack candidate
 // from the current per-function outcomes and re-simulates both over the full
-// prefix — the same structures, built by the same comparisons in the same
-// order, as (*IARArena).IAR steps 2 and 3.
+// prefix — Fig. 3 steps 2 and 3.
 func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 	funcs := pl.funcs
 	appendSet := pl.appendSet[:0]
@@ -340,15 +412,16 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 
 	pl.haveCand = false
 	if !pl.opts.DisableFillSlack {
-		// Slack per init position from the step-2 run, suffix minima, and the
-		// greedy no-bubble replacement set — Fig. 3 step 3, arena order.
-		starts, dones := pl.sched2Sim.CallStarts(), pl.sched2Sim.CompileDones()
-		slack := arenaGrow(pl.slack, len(funcs))
+		// Slack per init position from the step-2 run (its starts are still
+		// in the scratch), suffix minima, and the greedy no-bubble
+		// replacement set — Fig. 3 step 3.
+		starts, dones := pl.starts, pl.sched2Sim.CompileDones()
+		slack := growTo(pl.slack, len(funcs))
 		pl.slack = slack
 		for i := range funcs {
 			slack[i] = starts[pl.firstCall[funcs[i].f]] - dones[i]
 		}
-		suffMin := arenaGrow(pl.suffMin, len(funcs)+1)
+		suffMin := growTo(pl.suffMin, len(funcs)+1)
 		pl.suffMin = suffMin
 		suffMin[len(funcs)] = int64(1) << 62
 		for i := len(funcs) - 1; i >= 0; i-- {
@@ -372,7 +445,7 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 		}
 		pl.chosen = chosen
 		if len(chosen) > 0 {
-			removed := arenaGrow(pl.removed, len(sched))
+			removed := growTo(pl.removed, len(sched))
 			pl.removed = removed
 			clear(removed)
 			cand := append(pl.candidate[:0], sched...)
@@ -397,7 +470,8 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 }
 
 // resim replays a schedule over the full prefix on a resumable simulator and
-// recomputes its late-call counts from scratch.
+// recomputes its late-call counts from scratch; the starts scratch holds
+// the run's call starts until the next simulation.
 func (pl *IARPlanner) resim(s *sim.PrefixSim, sched Schedule, calls []trace.FuncID, late []int64) error {
 	s.Reset()
 	for _, ev := range sched {
@@ -405,16 +479,8 @@ func (pl *IARPlanner) resim(s *sim.PrefixSim, sched Schedule, calls []trace.Func
 			return err
 		}
 	}
-	if err := s.ExecCalls(calls); err != nil {
-		return err
-	}
 	clear(late)
-	// Starts never decrease: the late calls are a suffix.
-	k, _ := slices.BinarySearch(s.CallStarts(), s.CompileEnd())
-	for _, f := range calls[k:] {
-		late[f]++
-	}
-	return nil
+	return pl.execLate(s, calls, late)
 }
 
 // finishPlan re-decides the fill-slack acceptance and re-runs the gap fill —
@@ -456,4 +522,50 @@ func (pl *IARPlanner) finishPlan() Schedule {
 	}
 	pl.plan = plan
 	return plan
+}
+
+// iarPool recycles planners behind the package-level IAR and ClassifyIAR:
+// every goroutine that calls them concurrently gets its own planner for the
+// duration of the call, and the warm buffers survive across calls
+// process-wide. This is how the experiment harnesses and runner jobs get
+// per-goroutine planners without any signature change.
+var iarPool = sync.Pool{New: func() any { return new(IARPlanner) }}
+
+// iarCounters aggregates IAR planner activity process-wide; `jitsched exp
+// -stats` reports them next to the evaluator's counters, and the obs
+// /metrics endpoint mirrors them.
+var iarCounters struct {
+	planners   atomic.Int64
+	runs       atomic.Int64
+	warmRuns   atomic.Int64
+	pooledRuns atomic.Int64
+}
+
+// IARStats is a snapshot of the process-wide IAR planner counters.
+type IARStats struct {
+	// Arenas counts planners sized by a first Reset; Runs counts one-shot
+	// IAR runs ((*IARPlanner).IAR, which the package-level IAR wraps), of
+	// which WarmRuns reused a planner that had run before and PooledRuns
+	// went through the package-level IAR's sync.Pool. Online replans
+	// (Plan on a growing prefix) are not runs.
+	Arenas     int64
+	Runs       int64
+	WarmRuns   int64
+	PooledRuns int64
+}
+
+// ReadIARStats snapshots the process-wide IAR planner counters.
+func ReadIARStats() IARStats {
+	return IARStats{
+		Arenas:     iarCounters.planners.Load(),
+		Runs:       iarCounters.runs.Load(),
+		WarmRuns:   iarCounters.warmRuns.Load(),
+		PooledRuns: iarCounters.pooledRuns.Load(),
+	}
+}
+
+// Summary renders the stats as one line.
+func (s IARStats) Summary() string {
+	return fmt.Sprintf("core: %d IAR planners, %d runs (%d warm, %d pooled)",
+		s.Arenas, s.Runs, s.WarmRuns, s.PooledRuns)
 }

@@ -300,11 +300,11 @@ func KSweep(opts Options, ks []int64) ([]SweepRow, error) {
 			model := w.DefaultModel()
 			lb := float64(core.ModelLowerBound(w.Trace, w.Profile, model))
 			row := SweepRow{Benchmark: b.Name, ByValue: make(map[int64]float64, len(ks))}
-			// One arena serves the whole sweep: each schedule is simulated
+			// One planner serves the whole sweep: each schedule is simulated
 			// before the next K's run recycles it.
-			arena := core.NewIARArena()
+			pl := new(core.IARPlanner)
 			for _, k := range ks {
-				sched, err := arena.IAR(w.Trace, w.Profile, core.IAROptions{Model: model, K: k})
+				sched, err := pl.IAR(w.Trace, w.Profile, core.IAROptions{Model: model, K: k})
 				if err != nil {
 					return SweepRow{}, err
 				}

@@ -81,9 +81,9 @@ func PredictStudy(opts Options) ([]PredictRow, error) {
 		row.Default = float64(defRes.MakeSpan) / lb
 
 		repo := predict.NewRepository()
-		// One arena serves every predicted-trace replan: each schedule is
+		// One planner serves every predicted-trace replan: each schedule is
 		// replayed before the next train-run count recycles it.
-		arena := core.NewIARArena()
+		pl := new(core.IARPlanner)
 		for k := 1; k <= maxTrain; k++ {
 			train, err := b.LoadRun(opts.scale(), k)
 			if err != nil {
@@ -97,7 +97,7 @@ func PredictStudy(opts Options) ([]PredictRow, error) {
 			if err != nil {
 				return PredictRow{}, err
 			}
-			sched, err := arena.IAR(predicted, actual.Profile, core.IAROptions{Model: model, K: opts.IARK})
+			sched, err := pl.IAR(predicted, actual.Profile, core.IAROptions{Model: model, K: opts.IARK})
 			if err != nil {
 				return PredictRow{}, err
 			}

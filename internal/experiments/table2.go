@@ -40,20 +40,20 @@ func Table2(opts Options) ([]Table2Row, error) {
 		model := w.DefaultModel()
 
 		// Warm once (page in code paths; the owned copy survives the timed
-		// arena runs below), then time warm arena-backed runs — the
+		// planner runs below), then time warm runs on one held planner — the
 		// allocation-free fast path a runtime replanner would sit on.
 		sched, err := core.IAR(w.Trace, w.Profile, core.IAROptions{Model: model, K: opts.IARK})
 		if err != nil {
 			return Table2Row{}, err
 		}
-		arena := core.NewIARArena()
-		if _, err := arena.IAR(w.Trace, w.Profile, core.IAROptions{Model: model, K: opts.IARK}); err != nil {
+		pl := new(core.IARPlanner)
+		if _, err := pl.IAR(w.Trace, w.Profile, core.IAROptions{Model: model, K: opts.IARK}); err != nil {
 			return Table2Row{}, err
 		}
 		const reps = 3
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := arena.IAR(w.Trace, w.Profile, core.IAROptions{Model: model, K: opts.IARK}); err != nil {
+			if _, err := pl.IAR(w.Trace, w.Profile, core.IAROptions{Model: model, K: opts.IARK}); err != nil {
 				return Table2Row{}, err
 			}
 		}

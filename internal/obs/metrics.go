@@ -217,16 +217,16 @@ func (m *Metrics) ExactSolve(conflicts, learned int64) {
 	m.exactLearned.Add(learned)
 }
 
-// IARArenaCreated records one IAR arena construction.
-func (m *Metrics) IARArenaCreated() {
+// IARPlannerCreated records one IAR planner sized by its first reset.
+func (m *Metrics) IARPlannerCreated() {
 	if m == nil {
 		return
 	}
 	m.iarArenas.Add(1)
 }
 
-// IARRun records one arena-backed IAR run; warm means the arena had run
-// before and its buffers were already sized.
+// IARRun records one one-shot IAR run on a planner; warm means the planner
+// had run before and its buffers were already sized.
 func (m *Metrics) IARRun(warm bool) {
 	if m == nil {
 		return
@@ -418,9 +418,10 @@ type Snapshot struct {
 	ExactSolves    int64 `json:"exact_solves"`
 	ExactConflicts int64 `json:"exact_conflicts"`
 	ExactLearned   int64 `json:"exact_learned_clauses"`
-	// IARArenas counts IAR arena constructions; IARRuns the arena-backed IAR
-	// runs served, of which IARWarmRuns reused an already-sized arena. A high
-	// runs-to-arenas ratio is the reuse working.
+	// IARArenas counts IAR planners created (the key predates the planner);
+	// IARRuns the one-shot IAR runs served, of which IARWarmRuns reused an
+	// already-sized planner. A high runs-to-planners ratio is the reuse
+	// working.
 	IARArenas   int64 `json:"iar_arenas"`
 	IARRuns     int64 `json:"iar_runs"`
 	IARWarmRuns int64 `json:"iar_warm_runs"`
@@ -549,7 +550,7 @@ func (m *Metrics) copyLabeledInt(src *map[int]int64) map[int]int64 {
 // String renders the snapshot as one log-friendly line.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"obs: %d jobs started, %d completed (%d failed, %d panicked, %d job-cancelled), %d cache hits, %d deduped, queue wait %v, job wall %v (max %v), %d sims (%d ticks), %d online runs (%d commits, %d forced, %d replans/%d dirty-skips in %v), %d searches (%d expanded, %d stored, %d table hits, %d pruned), dispatch %d serial/%d parallel (speedup %d‰), %d exact solves (%d conflicts, %d learned), %d IAR runs (%d warm) on %d arenas, %d served (%d ok, %d cancelled, %d client-gone, %d errored, %d serve cache hits, %d coalesced, %d rejected, %d tenants throttled, depth %d, serve queue wait %v, %d batches/%d items)",
+		"obs: %d jobs started, %d completed (%d failed, %d panicked, %d job-cancelled), %d cache hits, %d deduped, queue wait %v, job wall %v (max %v), %d sims (%d ticks), %d online runs (%d commits, %d forced, %d replans/%d dirty-skips in %v), %d searches (%d expanded, %d stored, %d table hits, %d pruned), dispatch %d serial/%d parallel (speedup %d‰), %d exact solves (%d conflicts, %d learned), %d IAR runs (%d warm) on %d planners, %d served (%d ok, %d cancelled, %d client-gone, %d errored, %d serve cache hits, %d coalesced, %d rejected, %d tenants throttled, depth %d, serve queue wait %v, %d batches/%d items)",
 		s.JobsStarted, s.JobsCompleted, s.JobsFailed, s.JobsPanicked, s.JobsCancelled,
 		s.CacheHits, s.Deduped,
 		s.QueueWait.Round(time.Microsecond), s.JobWall.Round(time.Microsecond),

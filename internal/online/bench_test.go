@@ -101,7 +101,7 @@ func BenchmarkOnlineLongStream(b *testing.B) {
 		stats = sched.SchedStats()
 	}
 	b.StopTimer()
-	ref := online.NewIARFromScratch(p, core.IAROptions{}, 0)
+	ref := newIARFromScratch(p, core.IAROptions{}, 0)
 	if _, err := online.Run(tr, p, ref, online.Options{Window: win}); err != nil {
 		b.Fatal(err)
 	}

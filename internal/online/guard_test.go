@@ -89,7 +89,7 @@ func TestOnlineReplanSpeedupGuard(t *testing.T) {
 		if _, err := online.Run(tr, p, inc, online.Options{Window: 4096}); err != nil {
 			t.Fatal(err)
 		}
-		ref := online.NewIARFromScratch(p, core.IAROptions{}, 0)
+		ref := newIARFromScratch(p, core.IAROptions{}, 0)
 		if _, err := online.Run(tr, p, ref, online.Options{Window: 4096}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 package online_test
 
 // The incremental-replanning contract: online.IAR (warm-start planner,
-// O(Δ) replans) must commit a stream bit-identical to online.IARFromScratch
+// O(Δ) replans) must commit a stream bit-identical to iarFromScratch
 // (the frozen reference that reruns full IAR over the visible prefix at
 // every replan), with the same replan decisions, across the window × stride
 // matrix on DaCapo traces, rendered streaming workloads, and the pinned
@@ -30,7 +30,7 @@ import (
 func diffIAR(t *testing.T, label string, tr *trace.Trace, p *profile.Profile, opts core.IAROptions, win, stride int) {
 	t.Helper()
 	inc := online.NewIAR(p, opts, stride)
-	ref := online.NewIARFromScratch(p, opts, stride)
+	ref := newIARFromScratch(p, opts, stride)
 	got, err := online.Run(tr, p, inc, online.Options{Window: win, Config: sim.DefaultConfig(), RecordCalls: true})
 	if err != nil {
 		t.Fatalf("%s: incremental: %v", label, err)

@@ -36,13 +36,14 @@ type StatsReporter interface {
 // guess costs exactly one wasted compilation, as it would in a real runtime.
 //
 // Replanning is incremental: a core.IARPlanner carries the per-function
-// classification, the n1 frontier, and the previous plan's schedules across
+// classification, n1, and the previous plan's schedules across
 // replans, so each replan costs O(new calls) when the visible prefix's
-// growth didn't change any classification — and two simulation passes
-// instead of four when it did. The plans are bit-identical to from-scratch
-// IAR on every prefix (see core.IARPlanner), so the committed stream equals
-// IARFromScratch's exactly; the differential tests pin that across
-// window/stride matrices.
+// growth didn't change any classification — and two full simulation passes
+// (the step-2 schedule and its fill-slack candidate) when it did. The plans
+// are bit-identical to from-scratch IAR on every prefix (see
+// core.IARPlanner), so the committed stream equals that of a scheduler
+// running core.IAR over the visible prefix at every replan; the
+// differential tests pin that across window/stride matrices.
 //
 // With an unbounded window the first Observe sees the whole trace, the plan
 // is the offline plan, and no later replan fires (the visible prefix never
@@ -117,66 +118,6 @@ func (s *IAR) Observe(i int, visible *trace.Trace, now int64) ([]sim.CompileEven
 		}
 	}
 	s.out = out
-	s.stats.SchedNanos += time.Since(t0).Nanoseconds()
-	return out, nil
-}
-
-// IARFromScratch is the pre-incremental replanning IAR scheduler, frozen as
-// the reference implementation: every replan runs full IAR over the entire
-// visible prefix on an arena — O(prefix) per replan, O(N²/stride) per
-// stream. The incremental IAR must commit a bit-identical stream (the
-// differential tests enforce it), and the speedup guard holds the
-// incremental path to a minimum advantage over this one.
-type IARFromScratch struct {
-	p       *profile.Profile
-	opts    core.IAROptions
-	stride  int
-	planned int
-	emitted []profile.Level
-	arena   *core.IARArena
-	stats   SchedStats
-}
-
-// NewIARFromScratch returns the from-scratch reference replanner with the
-// same knobs as NewIAR.
-func NewIARFromScratch(p *profile.Profile, opts core.IAROptions, stride int) *IARFromScratch {
-	if stride <= 0 {
-		stride = DefaultReplanStride
-	}
-	emitted := make([]profile.Level, p.NumFuncs())
-	for i := range emitted {
-		emitted[i] = -1
-	}
-	return &IARFromScratch{p: p, opts: opts, stride: stride, planned: -1, emitted: emitted,
-		arena: core.NewIARArena()}
-}
-
-// Replans returns how many times the scheduler has replanned so far.
-func (s *IARFromScratch) Replans() int { return int(s.stats.Replans) }
-
-// SchedStats implements StatsReporter. DirtySkips is always zero: this path
-// rebuilds everything, every time.
-func (s *IARFromScratch) SchedStats() SchedStats { return s.stats }
-
-// Observe implements Scheduler.
-func (s *IARFromScratch) Observe(i int, visible *trace.Trace, now int64) ([]sim.CompileEvent, error) {
-	if s.planned >= 0 && visible.Len() < s.planned+s.stride {
-		return nil, nil
-	}
-	t0 := time.Now()
-	plan, err := s.arena.IAR(visible, s.p, s.opts)
-	if err != nil {
-		return nil, err
-	}
-	s.planned = visible.Len()
-	s.stats.Replans++
-	var out []sim.CompileEvent
-	for _, ev := range plan {
-		if ev.Level > s.emitted[ev.Func] {
-			s.emitted[ev.Func] = ev.Level
-			out = append(out, ev)
-		}
-	}
 	s.stats.SchedNanos += time.Since(t0).Nanoseconds()
 	return out, nil
 }

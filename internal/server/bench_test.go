@@ -20,7 +20,7 @@ func BenchmarkServeMiss(b *testing.B) {
 		b.Run(algo, func(b *testing.B) {
 			s := New(Options{Metrics: &obs.Metrics{}})
 			defer s.Shutdown()
-			arena := core.NewIARArena()
+			pl := new(core.IARPlanner)
 			reqs := make([]*ScheduleRequest, len(names))
 			for i, name := range names {
 				reqs[i] = &ScheduleRequest{Algo: algo, Bench: name, Scale: 0.25, MaxCalls: 5000}
@@ -31,7 +31,7 @@ func BenchmarkServeMiss(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.compute(context.Background(), reqs[i%len(reqs)], arena); err != nil {
+				if _, err := s.compute(context.Background(), reqs[i%len(reqs)], pl); err != nil {
 					b.Fatal(err)
 				}
 			}

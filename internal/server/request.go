@@ -387,11 +387,11 @@ func (req *ScheduleRequest) workload() (*dacapo.Workload, error) {
 // execute runs the requested algorithm on the workload under ctx and builds
 // the response. Search algorithms observe ctx directly; simulator replays
 // observe it through Options.Interrupt. Cancellation surfaces as a ctx-style
-// error the handler maps to 504/503. arena backs the iar path (nil means a
-// fresh arena); the schedule it produces aliases the arena but is consumed —
-// simulated and marshalled — before execute's caller returns. m, which may
+// error the handler maps to 504/503. pl backs the iar path (nil means a
+// fresh planner); the schedule it produces aliases the planner but is
+// consumed — simulated and marshalled — before execute's caller returns. m, which may
 // be nil, receives the online scheduler's cost accounting.
-func execute(ctx context.Context, req *ScheduleRequest, w *dacapo.Workload, arena *core.IARArena, m *obs.Metrics) (*ScheduleResponse, error) {
+func execute(ctx context.Context, req *ScheduleRequest, w *dacapo.Workload, pl *core.IARPlanner, m *obs.Metrics) (*ScheduleResponse, error) {
 	tr, p := w.Trace, w.Profile
 	var model profile.CostModel
 	if req.Model == "oracle" {
@@ -421,10 +421,10 @@ func execute(ctx context.Context, req *ScheduleRequest, w *dacapo.Workload, aren
 	)
 	switch req.Algo {
 	case "iar":
-		if arena == nil {
-			arena = core.NewIARArena()
+		if pl == nil {
+			pl = new(core.IARPlanner)
 		}
-		sched, err = arena.IAR(tr, p, core.IAROptions{Model: model})
+		sched, err = pl.IAR(tr, p, core.IAROptions{Model: model})
 		if err != nil {
 			return nil, badRequest("iar: %v", err)
 		}

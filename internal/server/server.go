@@ -197,16 +197,16 @@ func (s *Server) Shutdown() {
 }
 
 // worker is the pool loop: pop, compute under the request's deadline,
-// publish into the cache entry. Each worker owns one IAR arena for the life
+// publish into the cache entry. Each worker owns one IAR planner for the life
 // of the pool — jobs run serially on the worker, so every IAR job after the
 // first reuses warm buffers instead of allocating fresh working state.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	arena := core.NewIARArena()
+	pl := new(core.IARPlanner)
 	for j := range s.queue {
 		s.m.ServeQueue(-1)
 		s.m.ServeQueueWait(time.Since(j.enqueued))
-		s.runJob(j, arena)
+		s.runJob(j, pl)
 	}
 }
 
@@ -228,7 +228,7 @@ func (s *Server) enqueue(j job) bool {
 }
 
 // runJob computes one leader request and completes its cache entry.
-func (s *Server) runJob(j job, arena *core.IARArena) {
+func (s *Server) runJob(j job, pl *core.IARPlanner) {
 	d := j.req.timeout(s.opts.DefaultTimeout, s.opts.MaxTimeout)
 	// The deadline covers queue wait too — a request is a promise to answer
 	// within its budget, not to start within it.
@@ -239,19 +239,19 @@ func (s *Server) runJob(j job, arena *core.IARArena) {
 	}
 	ctx, cancel := context.WithTimeoutCause(s.rootCtx, d, errDeadline)
 	defer cancel()
-	body, err := s.compute(ctx, j.req, arena)
+	body, err := s.compute(ctx, j.req, pl)
 	s.cache.complete(j.key, j.entry, body, err)
 }
 
 // compute runs the request and marshals the response body. The response is
 // fully marshalled before compute returns, so a schedule aliasing the
-// worker's arena never outlives its validity window.
-func (s *Server) compute(ctx context.Context, req *ScheduleRequest, arena *core.IARArena) ([]byte, error) {
+// worker's planner never outlives its validity window.
+func (s *Server) compute(ctx context.Context, req *ScheduleRequest, pl *core.IARPlanner) ([]byte, error) {
 	w, err := req.workload()
 	if err != nil {
 		return nil, err
 	}
-	resp, err := execute(ctx, req, w, arena, s.m)
+	resp, err := execute(ctx, req, w, pl, s.m)
 	if err != nil {
 		// The simulator's interrupt sentinel does not carry the cause; graft
 		// it on so the handler can tell a deadline from a drain.

@@ -404,7 +404,7 @@ func TestMetricsEndpointRidesAlong(t *testing.T) {
 }
 
 // TestMetricsExposesArenaAndDispatchKeys: the /metrics document carries the
-// IAR-arena and adaptive-dispatch counters, and serving an iar request over
+// IAR planner and adaptive-dispatch counters, and serving an iar request over
 // this very server moves the run counters it reports.
 func TestMetricsExposesArenaAndDispatchKeys(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
@@ -427,7 +427,7 @@ func TestMetricsExposesArenaAndDispatchKeys(t *testing.T) {
 			t.Errorf("/metrics missing %q", key)
 		}
 	}
-	// The iar request above ran on a worker's arena; the process-wide run
+	// The iar request above ran on a worker's planner; the process-wide run
 	// counter the endpoint snapshots must already include it.
 	if runs, ok := doc["iar_runs"].(float64); !ok || runs < 1 {
 		t.Errorf("iar_runs = %v, want >= 1 after an iar request", doc["iar_runs"])

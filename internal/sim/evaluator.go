@@ -10,8 +10,8 @@ import (
 )
 
 // Evaluator is the static-schedule simulator for repeated evaluation over
-// one (trace, profile) pair — the inner loop behind IAR's passes, the
-// searches, and the experiment harnesses. sim.Run is a pooled Evaluator.
+// one (trace, profile) pair — the inner loop behind the searches and the
+// experiment harnesses. sim.Run is a pooled Evaluator.
 //
 // Construction validates and flattens the profile. Run builds the
 // schedule's compile side and runs the trace through the one make-span
@@ -88,8 +88,8 @@ func NewEvaluator(tr *trace.Trace, p *profile.Profile) (*Evaluator, error) {
 // worker pools. It performs the same validation, with the same error
 // strings, as NewEvaluator; on error the evaluator is left unusable until a
 // successful Reset. Any delta baseline is discarded. This is what lets a
-// long-lived arena (e.g. core's IAR arena, the online replanner) follow a
-// growing visible prefix without reallocating its buffers each rebind.
+// long-lived evaluator follow new instances without reallocating its buffers
+// each rebind.
 func (e *Evaluator) Reset(tr *trace.Trace, p *profile.Profile) error {
 	e.baseValid = false
 	if err := e.t.load(p); err != nil {
@@ -161,32 +161,6 @@ func (e *Evaluator) Run(sched Schedule, cfg Config, opts Options) (*Result, erro
 	}
 	return res, nil
 }
-
-// StartsBeforeCompileEnd simulates sched like Run with zero Options, but
-// stops at the first call that starts at or after the schedule's compile
-// end, and returns the starts of the calls before it. Since starts never
-// decrease, those are exactly the calls issued while the schedule is still
-// compiling — Formula 2's n1 frontier. The slice aliases the evaluator and
-// is valid until the next call on it; the delta baseline is discarded.
-func (e *Evaluator) StartsBeforeCompileEnd(sched Schedule, cfg Config) ([]int64, error) {
-	if _, err := e.compileSide(sched, cfg, Options{}); err != nil {
-		return nil, err
-	}
-	x := execLoop{c: &e.c, t: &e.t, record: true, starts: e.starts[:0]}
-	_, err := x.general(e.tr.Calls, 0, e.tr.Len(), e.c.end)
-	e.starts = x.starts
-	if err != nil {
-		return nil, err
-	}
-	k, _ := slices.BinarySearch(x.starts, e.c.end)
-	return x.starts[:k], nil
-}
-
-// CallStarts returns the start of every call of the last successful Run, in
-// trace order, mirroring PrefixSim.CallStarts; it does not need
-// Options.RecordCalls. The slice aliases the evaluator and is valid
-// (read-only) until the next Run, MakeSpanOf or StartsBeforeCompileEnd.
-func (e *Evaluator) CallStarts() []int64 { return e.starts }
 
 // compileSide validates the run's inputs and builds the schedule's compile
 // side into the evaluator's arenas, returning the Result with its compile

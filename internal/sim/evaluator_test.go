@@ -112,10 +112,10 @@ func diffResults(t *testing.T, tag string, want, got *Result) {
 
 // diffAgainstRef runs one (trace, profile, schedule, config, options)
 // instance through every user of the make-span kernel — a cold and a warm
-// Evaluator.Run, the sim.Run wrapper, StartsBeforeCompileEnd, PrefixSim, and
-// the two delta edits — and diffs each against the reference loop: Result
-// fields, error strings, and, in a second pass with a Recorder attached, the
-// recorded event stream.
+// Evaluator.Run, the sim.Run wrapper, PrefixSim (whole, and stopped at the
+// compile end then resumed), and the two delta edits — and diffs each
+// against the reference loop: Result fields, error strings, and, in a
+// second pass with a Recorder attached, the recorded event stream.
 func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opts Options) {
 	t.Helper()
 	want, wantErr := refRun(tr, p, sched, cfg, opts)
@@ -160,21 +160,9 @@ func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profil
 		t.Errorf("%s: recorded events differ from the reference's", tag)
 	}
 
-	// Formula 2's frontier: the starts before the compile end.
 	full, err := refRun(tr, p, sched, cfg, Options{RecordCalls: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	head, err := eval.StartsBeforeCompileEnd(sched, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 0
-	for k < len(full.CallStarts) && full.CallStarts[k] < full.CompileEnd {
-		k++
-	}
-	if !reflect.DeepEqual(head, full.CallStarts[:k]) {
-		t.Errorf("%s: StartsBeforeCompileEnd = %v, want %v", tag, head, full.CallStarts[:k])
 	}
 
 	// PrefixSim runs no variation; feed it the schedule, then the calls in
@@ -190,17 +178,19 @@ func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profil
 			}
 		}
 		half := tr.Len() / 2
-		if err := ps.ExecCalls(tr.Calls[:half]); err != nil {
+		starts, err := ps.ExecCalls(nil, tr.Calls[:half])
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.ExecCalls(tr.Calls[half:]); err != nil {
+		if starts, err = ps.ExecCalls(starts, tr.Calls[half:]); err != nil {
 			t.Fatal(err)
 		}
 		if ps.MakeSpan() != full.MakeSpan || ps.CompileEnd() != full.CompileEnd ||
-			!slices.Equal(ps.CallStarts(), full.CallStarts) {
+			!slices.Equal(starts, full.CallStarts) {
 			t.Errorf("%s: PrefixSim (span %d, end %d) differs from the reference (span %d, end %d) or in call starts",
 				tag, ps.MakeSpan(), ps.CompileEnd(), full.MakeSpan, full.CompileEnd)
 		}
+		diffStopAtCompileEnd(t, tag, tr, p, sched, cfg, full)
 	}
 
 	// The delta edits: every level at a few positions, and a few appends.
@@ -226,6 +216,48 @@ func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profil
 		checkDelta(t, tag, tr, p, append(sched.Clone(), ev), cfg, base, func() (int64, error) {
 			return eval.AppendedMakeSpan(ev)
 		})
+	}
+}
+
+// diffStopAtCompileEnd checks PrefixSim's init-pass step against the
+// reference run: ExecUntilCompileEnd executes exactly the calls that start
+// before the compile end — Formula 2's n1 prefix — to the reference's exec
+// clock; a second pass executes nothing; and ExecCalls over the rest
+// resumes to the reference's whole run, start for start.
+func diffStopAtCompileEnd(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, full *Result) {
+	t.Helper()
+	ps, err := NewPrefixSim(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range sched {
+		if err := ps.AppendCompile(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, clock := 0, int64(0)
+	for want < tr.Len() && full.CallStarts[want] < full.CompileEnd {
+		clock = full.CallStarts[want] + p.ExecTime(tr.Calls[want], full.CallLevels[want])
+		want++
+	}
+	n, err := ps.ExecUntilCompileEnd(tr.Calls)
+	if err != nil {
+		t.Fatalf("%s: ExecUntilCompileEnd: %v", tag, err)
+	}
+	if n != want || ps.NumCalls() != want || ps.MakeSpan() != clock {
+		t.Fatalf("%s: ExecUntilCompileEnd executed %d calls to clock %d, reference %d to %d",
+			tag, n, ps.MakeSpan(), want, clock)
+	}
+	if again, err := ps.ExecUntilCompileEnd(tr.Calls[n:]); err != nil || again != 0 {
+		t.Errorf("%s: second ExecUntilCompileEnd = %d, %v; want 0, nil", tag, again, err)
+	}
+	rest, err := ps.ExecCalls(nil, tr.Calls[n:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.MakeSpan() != full.MakeSpan || !slices.Equal(rest, full.CallStarts[n:]) {
+		t.Errorf("%s: resumed PrefixSim (span %d) differs from the reference (span %d) or in call starts",
+			tag, ps.MakeSpan(), full.MakeSpan)
 	}
 }
 
@@ -323,7 +355,7 @@ func TestKernelEdgeCases(t *testing.T) {
 		if err := ps.AppendCompile(CompileEvent{Func: 0, Level: 0}); err != nil {
 			t.Fatal(err)
 		}
-		gotErr := ps.ExecCalls(calls)
+		_, gotErr := ps.ExecCalls(nil, calls)
 		if wantErr == nil || gotErr == nil || !reflect.DeepEqual(wantErr, gotErr) {
 			t.Errorf("calls %v: PrefixSim error %v, reference %v", calls, gotErr, wantErr)
 		}

@@ -163,8 +163,9 @@ func (x *execLoop) run(calls []trace.FuncID, i int) error {
 		if x.mag == 0 && x.rec == nil {
 			i = x.tail(calls, i, stop)
 		}
-		// The tail stops early only at a never-compiled callee, which the
-		// general step reports.
+		// The tail stops early only at a call that must wait — a
+		// never-compiled callee, which the general step reports, or the one
+		// waiting for the version that finishes at the compile end.
 		if i, err = x.general(calls, i, stop, neverDone); err != nil {
 			return err
 		}
@@ -172,25 +173,27 @@ func (x *execLoop) run(calls []trace.FuncID, i int) error {
 	return nil
 }
 
-// general executes calls[i:stop] while the exec clock is below bound, each
-// in the general case: wait for the function's first version, then run at
-// the latest version finished by the start, found in the version list
-// unless the function has settled. It returns the index of the first call
-// not executed.
+// general executes calls[i:stop] while each starts before bound, each in
+// the general case: wait for the function's first version, then run at the
+// latest version finished by the start, found in the version list unless
+// the function has settled. It returns the index of the first call not
+// executed.
 func (x *execLoop) general(calls []trace.FuncID, i, stop int, bound int64) (int, error) {
 	tab, t := x.c.tab, x.t
 	mag, seed, rec, record := x.mag, x.seed, x.rec, x.record
 	execT, starts, bubble, stalls := x.execT, x.starts, x.bubble, x.stalls
 	var err error
-	for ; i < stop && execT < bound; i++ {
+	for ; i < stop; i++ {
 		f := calls[i]
 		r := &tab[f]
-		start := execT
-		if r.ready > start {
-			bubble += r.ready - start
+		start := max(execT, r.ready)
+		if start >= bound {
+			break
+		}
+		if start > execT {
+			bubble += start - execT
 			stalls++
-			rec.Stall(start, r.ready-start, int32(f), int32(i))
-			start = r.ready
+			rec.Stall(execT, start-execT, int32(f), int32(i))
 		}
 		level, dur := r.level, r.exec
 		if start < r.last {

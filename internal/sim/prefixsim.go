@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -10,11 +11,12 @@ import (
 // PrefixSim is a resumable simulation of a growing instance: compile events
 // may be appended to the schedule tail and calls appended to the executed
 // trace, in any interleaving, and the simulation advances by exactly the new
-// work instead of replaying from time zero. It exists for the online
-// replanner, whose per-stride state — the init schedule following a growing
-// visible prefix, the step-2/step-3 schedules re-evaluated over ever more
-// calls — is append-only between plan rebuilds, so each replan costs O(new
-// calls) rather than O(prefix).
+// work instead of replaying from time zero. It is IAR's simulator
+// (core.IARPlanner): the planner's per-stride state — the init schedule
+// following a growing visible prefix, the step-2/step-3 schedules
+// re-evaluated over ever more calls — is append-only between plan rebuilds,
+// so each online replan costs O(new calls) rather than O(prefix), and a
+// one-shot plan is the same passes over the whole trace at once.
 //
 // # Exactness contract
 //
@@ -23,7 +25,10 @@ import (
 // for the static schedule [e1..eM] over the trace [c1..cN] (no arrival
 // times, no variation, no recorder): the same call starts, the same
 // make-span, the same compile-finish times, tick for tick. The differential
-// tests in prefixsim_test.go pin this.
+// tests in prefixsim_test.go pin this. The simulator keeps no per-call
+// state: ExecCalls appends the starts of the calls it executes to a buffer
+// the caller owns, so a caller that needs only the newest starts, or runs
+// several simulators one after another, keeps one buffer for all of them.
 //
 // The contract holds because appending never rewrites history: calls execute
 // sequentially, so earlier starts cannot depend on later calls; and a
@@ -43,8 +48,8 @@ type PrefixSim struct {
 	c      compiled
 	pool   workerPool
 	dones  []int64
-	starts []int64
-	execT  int64
+	calls  int   // calls executed
+	execT  int64 // the end of the last executed call
 	called []bool
 }
 
@@ -52,17 +57,28 @@ type PrefixSim struct {
 // machine configuration, with an empty schedule and no executed calls. The
 // profile is validated exactly as sim.NewEvaluator validates it.
 func NewPrefixSim(p *profile.Profile, cfg Config) (*PrefixSim, error) {
-	if cfg.CompileWorkers < 1 {
-		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
-	}
 	s := &PrefixSim{}
-	if err := s.t.load(p); err != nil {
+	if err := s.Rebind(p, cfg); err != nil {
 		return nil, err
 	}
-	s.c.reset(s.t.nf)
-	s.pool.reset(cfg.CompileWorkers)
-	s.called = make([]bool, s.t.nf)
 	return s, nil
+}
+
+// Rebind points the simulator at a new profile and machine configuration,
+// with an empty schedule and no executed calls, keeping the arenas. It
+// validates exactly as NewPrefixSim does; on error the simulator must be
+// rebound before reuse.
+func (s *PrefixSim) Rebind(p *profile.Profile, cfg Config) error {
+	if cfg.CompileWorkers < 1 {
+		return fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
+	}
+	if err := s.t.load(p); err != nil {
+		return err
+	}
+	s.pool.reset(cfg.CompileWorkers)
+	s.called = growN(s.called, s.t.nf)
+	s.Reset()
+	return nil
 }
 
 // Reset discards the schedule and all executed calls, keeping the arenas, so
@@ -73,8 +89,7 @@ func (s *PrefixSim) Reset() {
 	clear(s.pool.free)
 	clear(s.called)
 	s.dones = s.dones[:0]
-	s.starts = s.starts[:0]
-	s.execT = 0
+	s.calls, s.execT = 0, 0
 }
 
 // AppendCompile appends one compile event at the schedule tail, assigning it
@@ -103,26 +118,63 @@ func (s *PrefixSim) AppendCompile(ev CompileEvent) error {
 }
 
 // ExecCalls executes the given calls in order, advancing the simulation
-// clock through the same exec kernel as Evaluator.Run. A call to a function
+// clock through the same exec kernel as Evaluator.Run, and appends each
+// call's start to dst, returning the extended slice. A call to a function
 // with no appended compilation fails with *ErrNoReadyVersion, as in the
 // static simulators.
-func (s *PrefixSim) ExecCalls(calls []trace.FuncID) error {
+func (s *PrefixSim) ExecCalls(dst []int64, calls []trace.FuncID) ([]int64, error) {
 	called := s.called
 	for _, f := range calls {
 		if uint(f) >= uint(len(called)) {
-			return fmt.Errorf("sim: prefix call invokes unknown function %d", f)
+			return dst, unknownCall(f)
 		}
 		called[f] = true
 	}
-	// The prefix grows by small deltas: double the starts' capacity rather
-	// than let append grow it a quarter at a time.
-	if need := len(s.starts) + len(calls); need > cap(s.starts) {
-		s.starts = append(make([]int64, 0, max(need, 2*cap(s.starts))), s.starts...)
-	}
-	x := execLoop{c: &s.c, t: &s.t, record: true, execT: s.execT, starts: s.starts}
+	x := execLoop{c: &s.c, t: &s.t, record: true, execT: s.execT, starts: slices.Grow(dst, len(calls))}
 	err := x.run(calls, 0)
-	s.execT, s.starts = x.execT, x.starts
-	return err
+	s.calls += len(x.starts) - len(dst)
+	s.execT = x.execT
+	return x.starts, err
+}
+
+// ExecUntilCompileEnd executes calls in order like ExecCalls, but only those
+// that start before the compile end, and returns how many it executed,
+// recording no starts. Starts never decrease, so it stops at the first call
+// that would start at or after the compile end and leaves the rest
+// unexecuted. Appending compile events can only move the compile end later;
+// passing the unexecuted rest again, with any newly visible calls behind it,
+// resumes where the last pass stopped. This is IAR's init pass: Formula 2's
+// n1 counts exactly the calls that start before the init schedule's compile
+// end, and every call past that point is work the pass skips.
+func (s *PrefixSim) ExecUntilCompileEnd(calls []trace.FuncID) (int, error) {
+	n := 0
+	// Validate a stride at a time: the unexecuted rest can be long, and a
+	// pass that stops early must not pay for checking all of it.
+	for n < len(calls) {
+		chunk := calls[n:min(len(calls), n+interruptStride)]
+		for _, f := range chunk {
+			if uint(f) >= uint(len(s.called)) {
+				return n, unknownCall(f)
+			}
+		}
+		x := execLoop{c: &s.c, t: &s.t, execT: s.execT}
+		k, err := x.general(chunk, 0, len(chunk), s.c.end)
+		s.execT = x.execT
+		for _, f := range chunk[:k] {
+			s.called[f] = true
+		}
+		n += k
+		s.calls += k
+		if err != nil || k < len(chunk) {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// unknownCall is the error for a call to a function outside the profile.
+func unknownCall(f trace.FuncID) error {
+	return fmt.Errorf("sim: prefix call invokes unknown function %d", f)
 }
 
 // MakeSpan returns the execution clock: the end of the last executed call,
@@ -133,18 +185,13 @@ func (s *PrefixSim) MakeSpan() int64 { return s.execT }
 // compile event, or 0 before any event.
 func (s *PrefixSim) CompileEnd() int64 { return s.c.end }
 
-// CallStarts returns the start time of every executed call, in execution
-// order. The slice aliases the simulator and is valid (read-only) until the
-// next ExecCalls or Reset.
-func (s *PrefixSim) CallStarts() []int64 { return s.starts }
-
 // CompileDones returns the finish time of every appended compile event, in
 // append order. The slice aliases the simulator and is valid (read-only)
 // until the next AppendCompile or Reset.
 func (s *PrefixSim) CompileDones() []int64 { return s.dones }
 
 // NumCalls returns how many calls have been executed.
-func (s *PrefixSim) NumCalls() int { return len(s.starts) }
+func (s *PrefixSim) NumCalls() int { return s.calls }
 
 // NumCompiles returns how many compile events have been appended.
 func (s *PrefixSim) NumCompiles() int { return len(s.dones) }

@@ -33,9 +33,10 @@ func randPrefixInstance(rng *rand.Rand, nf, levels, nCalls int) (*profile.Profil
 	return p, calls
 }
 
-// comparePrefix checks the resumable simulator against a from-scratch
-// reference run of the same (schedule, calls) sub-instance.
-func comparePrefix(t *testing.T, s *PrefixSim, p *profile.Profile, sched Schedule, calls []trace.FuncID, cfg Config) {
+// comparePrefix checks the resumable simulator, and the starts its ExecCalls
+// appended, against a from-scratch reference run of the same
+// (schedule, calls) sub-instance.
+func comparePrefix(t *testing.T, s *PrefixSim, starts []int64, p *profile.Profile, sched Schedule, calls []trace.FuncID, cfg Config) {
 	t.Helper()
 	// The reference validates that every called function is compiled; the
 	// interleavings under test maintain that invariant by construction.
@@ -51,8 +52,7 @@ func comparePrefix(t *testing.T, s *PrefixSim, p *profile.Profile, sched Schedul
 		t.Fatalf("at %d events/%d calls: CompileEnd %d, want %d",
 			s.NumCompiles(), s.NumCalls(), s.CompileEnd(), res.CompileEnd)
 	}
-	starts := s.CallStarts()
-	if len(starts) != len(res.CallStarts) {
+	if s.NumCalls() != len(calls) || len(starts) != len(res.CallStarts) {
 		t.Fatalf("%d call starts, want %d", len(starts), len(res.CallStarts))
 	}
 	for i := range starts {
@@ -96,17 +96,18 @@ func TestPrefixSimStaticSchedule(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		var starts []int64
 		done := 0
 		for done < len(calls) {
 			n := 1 + rng.Intn(40)
 			if done+n > len(calls) {
 				n = len(calls) - done
 			}
-			if err := s.ExecCalls(calls[done : done+n]); err != nil {
+			if starts, err = s.ExecCalls(starts, calls[done:done+n]); err != nil {
 				t.Fatal(err)
 			}
 			done += n
-			comparePrefix(t, s, p, sched, calls[:done], cfg)
+			comparePrefix(t, s, starts, p, sched, calls[:done], cfg)
 		}
 	}
 }
@@ -126,6 +127,7 @@ func TestPrefixSimInterleaved(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sched Schedule
+		var starts []int64
 		seen := make([]bool, p.NumFuncs())
 		done := 0
 		for done < len(calls) {
@@ -144,11 +146,11 @@ func TestPrefixSimInterleaved(t *testing.T) {
 					sched = append(sched, ev)
 				}
 			}
-			if err := s.ExecCalls(chunk); err != nil {
+			if starts, err = s.ExecCalls(starts, chunk); err != nil {
 				t.Fatal(err)
 			}
 			done += n
-			comparePrefix(t, s, p, sched, calls[:done], cfg)
+			comparePrefix(t, s, starts, p, sched, calls[:done], cfg)
 		}
 	}
 }
@@ -174,10 +176,11 @@ func TestPrefixSimReset(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := s.ExecCalls(calls); err != nil {
+		starts, err := s.ExecCalls(nil, calls)
+		if err != nil {
 			t.Fatal(err)
 		}
-		comparePrefix(t, s, p, sched, calls, cfg)
+		comparePrefix(t, s, starts, p, sched, calls, cfg)
 	}
 }
 
@@ -198,7 +201,7 @@ func TestPrefixSimRejectsHistoryRewrite(t *testing.T) {
 	if err := s.AppendCompile(CompileEvent{Func: 0, Level: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ExecCalls([]trace.FuncID{0, 0}); err != nil {
+	if _, err := s.ExecCalls(nil, []trace.FuncID{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	// Exec clock is 201; a level-1 compile on the single worker would finish
@@ -222,7 +225,7 @@ func TestPrefixSimRejectsHistoryRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.ExecCalls([]trace.FuncID{0}); err == nil {
+	if _, err := s2.ExecCalls(nil, []trace.FuncID{0}); err == nil {
 		t.Fatal("call without any compilation accepted")
 	}
 }
