@@ -84,10 +84,15 @@ bench:
 # trace only to truncate it (a scale-1 antlr trace alone is ~940 KB) fails.
 # Warm Jikes and V8 policy runs on jython must stay under 40 allocations,
 # so a policy or engine that allocates per compile request fails.
+# A default-width beam on the nine-function study instance must stay at or
+# under 200 allocations and 2 MB (building every scored child read ~112,000
+# and ~30 MB), and a Width of 1<<30 on three functions under 1 MB, so beam
+# buffers sized from Width instead of from the survivors fail
+# (TestBeamAllocGuard).
 bench-guard:
 	$(GO) test -run='TestDisabledRecorderZeroAlloc|TestRecorderDisabledZeroAlloc|TestEvaluatorZeroAlloc|TestEvaluatorPerCallBytes' -count=1 \
 		./internal/obs/ ./internal/sim/
-	$(GO) test -run='TestBnBWarmZeroAlloc|TestBnBWarmZeroAllocCancellable|TestBnBNodeBudgetGuard' -count=1 ./internal/astar/
+	$(GO) test -run='TestBnBWarmZeroAlloc|TestBnBWarmZeroAllocCancellable|TestBnBNodeBudgetGuard|TestBeamAllocGuard' -count=1 ./internal/astar/
 	$(GO) test -run='TestSolverWarmAllocs|TestSolveDeterminism' -count=1 ./internal/exact/
 	$(GO) test -run='TestIARArenaWarmAllocGuard' -count=1 ./internal/core/
 	$(GO) test -run='TestIARArenaAllocGuard|TestRunPolicyAllocGuard' -count=1 .

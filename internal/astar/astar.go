@@ -153,7 +153,7 @@ func heapCapFor(budget int) int {
 
 // searcher carries the immutable problem plus scratch space. The immutable
 // part — the flattened timing tables, order, bestE, and bounds of
-// ocsp.Tables — is shared read-only by the parallel beam workers; the
+// ocsp.Tables — is shared read-only by the parallel BnB workers; the
 // scratch (pe, counters) belongs to the owning goroutine. The table slices
 // are aliased into named fields so the search loops read in this package's
 // short vocabulary.

@@ -1,11 +1,10 @@
 package astar
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
+	"slices"
 
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -24,49 +23,81 @@ import (
 type BeamOptions struct {
 	// Width is the number of prefixes kept per depth (0 means DefaultBeamWidth).
 	Width int
-	// Workers bounds the goroutines expanding a depth's frontier (1 means
-	// serial, N > 1 means N goroutines). Zero means adaptive dispatch: the
-	// process-wide EWMA table in dispatch.go picks serial or GOMAXPROCS
-	// parallel per instance-size bucket from recently observed per-node
-	// costs. The result is identical for every worker count — and therefore
-	// for every dispatch decision: scoring is a pure function of the node,
-	// and the best-schedule and pruning decisions are replayed serially in
-	// frontier order.
+	// Workers is validated (negative is an error) but otherwise ignored:
+	// every value runs the one serial loop, so the result is identical for
+	// every worker count. The batch-parallel expansion it once sized was
+	// slower than serial on every measured instance.
 	Workers int
 }
 
 // DefaultBeamWidth keeps a few hundred prefixes per depth.
 const DefaultBeamWidth = 256
 
-// beamNode is one frontier prefix.
-type beamNode struct {
-	sched sim.Schedule
-	next  []profile.Level // next schedulable level per function
-	g     int64
-	cur   cursor // committed incremental-evaluation state of sched
+// beamKid is one scored child of a frontier node: a compact, pointer-free
+// record of its g, its committed evaluation state, the event that extends
+// its parent (a frontier row index), and its generation order within the
+// depth. Only the Width survivors are built into rows.
+type beamKid struct {
+	g      int64
+	cur    cursor
+	seq    int
+	parent int32
+	fn     trace.FuncID
+	level  profile.Level
 }
 
-// beamExpansion is what phase 1 computes for one frontier node: its exact
-// cost if complete, plus all its children, scored. Whether a child survives
-// against the evolving best-complete-cost bound is decided later, serially.
-type beamExpansion struct {
-	complete bool
-	full     int64
-	span     int64
-	kids     []beamNode
+// worse orders children by g, then generation order: the order a stable
+// sort by g gives, as a total order.
+func (a *beamKid) worse(b *beamKid) bool {
+	return a.g > b.g || a.g == b.g && a.seq > b.seq
+}
+
+// beamTop keeps the width best children offered, in generation order, under
+// worse. Once full it is a max-heap, so a child that cannot enter costs one
+// comparison with the root: about twice as fast as sorting every child.
+type beamTop struct {
+	kids  []beamKid
+	width int
+}
+
+func (t *beamTop) offer(k beamKid) {
+	if n := len(t.kids); n < t.width {
+		t.kids = append(t.kids, k)
+		for i := n / 2; n+1 == t.width && i >= 0; i-- {
+			t.down(i)
+		}
+	} else if t.kids[0].worse(&k) {
+		t.kids[0] = k
+		t.down(0)
+	}
+}
+
+// down restores the heap order below i.
+func (t *beamTop) down(i int) {
+	h := t.kids
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].worse(&h[c]) {
+			c++
+		}
+		if !h[c].worse(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // BeamSearch explores the schedule tree breadth-first, keeping the Width
 // lowest-cost prefixes at each depth, and returns the best complete schedule
 // encountered. The result is valid but not necessarily optimal.
 //
-// Each depth is expanded in two phases, reusing the worker-pool idiom of
-// internal/runner: phase 1 fans the frontier out over Workers goroutines,
-// each with its own prefixEval scratch, computing every node's completion
-// cost and scored children; phase 2 replays the frontier serially, in
-// order, applying best-schedule updates and the g >= bestCost pruning
-// exactly as the serial loop would. Every observable output — schedule,
-// make-span, cost, node counters — is bit-identical for any worker count.
+// Each depth is one serial pass over the frontier in order: a node's
+// prefix is loaded once, a complete node updates the best schedule, and its
+// children are scored incrementally, dropping any that cannot beat the best
+// complete cost. The Width lowest-g children, ties going to the earlier
+// generated as a stable sort by g would, are selected as flat records and
+// only those are built: their schedules and next-level vectors are rows of
+// two flat arenas that swap roles each depth and grow with the survivor
+// count, never with Width.
 func BeamSearch(tr *trace.Trace, p *profile.Profile, opts BeamOptions) (*Result, error) {
 	return BeamSearchContext(context.Background(), tr, p, opts)
 }
@@ -89,18 +120,8 @@ func BeamSearchContext(ctx context.Context, tr *trace.Trace, p *profile.Profile,
 	if width < 1 {
 		return nil, fmt.Errorf("astar: beam width must be >= 1, got %d", opts.Width)
 	}
-	workers := opts.Workers
-	autoBucket := -1
-	if workers == 0 {
-		autoBucket = dispatchBucketFor(len(s.order))
-		workers = searchDispatcher.choose(autoBucket)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("astar: beam workers must be >= 1, got %d", opts.Workers)
-	}
-	var autoStart time.Time
-	if autoBucket >= 0 {
-		autoStart = time.Now()
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("astar: beam workers must be non-negative, got %d", opts.Workers)
 	}
 	res := &Result{PathsTotal: totalPaths(len(s.order), p.Levels)}
 	if len(s.order) == 0 {
@@ -109,107 +130,85 @@ func BeamSearchContext(ctx context.Context, tr *trace.Trace, p *profile.Profile,
 		return res, nil
 	}
 
-	start := beamNode{next: make([]profile.Level, p.NumFuncs())}
-	frontier := []beamNode{start}
+	// Frontier node i at depth d is frontier[i] plus row i of the arenas:
+	// sched[i*d:(i+1)*d] and next[i*nf:(i+1)*nf]. The survivors of a depth
+	// are built into nsched/nnext, which then swap with sched/next.
+	nf := p.NumFuncs()
+	frontier := []cursor{{}}
+	var sched, nsched []sim.CompileEvent
+	next, nnext := make([]profile.Level, nf), []profile.Level(nil)
+	top := beamTop{width: width}
 	const inf = int64(1)<<62 - 1
 	bestCost := inf
 	var bestSched sim.Schedule
 	var bestSpan int64
 
-	// expand computes one frontier node's beamExpansion on the caller's
-	// scratch. It reads only immutable searcher state.
-	expand := func(pe *prefixEval, n beamNode) beamExpansion {
-		var ex beamExpansion
-		pe.Load(n.sched)
-		missing := 0
-		for _, f := range s.order {
-			if n.next[f] == 0 {
-				missing++
-			}
-		}
-		if missing == 0 {
-			ex.complete = true
-			ex.full, ex.span = pe.Finish(n.cur)
-		}
-		for _, f := range s.order {
-			for l := n.next[f]; int(l) < p.Levels; l++ {
-				child := beamNode{
-					sched: append(n.sched.Clone(), sim.CompileEvent{Func: f, Level: l}),
-					next:  append([]profile.Level(nil), n.next...),
-				}
-				child.next[f] = l + 1
-				child.cur, child.g = pe.Advance(n.cur, sim.CompileEvent{Func: f, Level: l})
-				ex.kids = append(ex.kids, child)
-			}
-		}
-		return ex
-	}
-
+	pe := s.pe
 	done := ctx.Done()
 	maxDepth := len(s.order) * p.Levels
-	expansions := make([]beamExpansion, 0, width)
 	for depth := 0; depth < maxDepth && len(frontier) > 0; depth++ {
 		if cancelled(done) {
 			return res, cancelErr(ctx)
 		}
-		// Phase 1: score the frontier in parallel.
-		expansions = expansions[:0]
-		expansions = append(expansions, make([]beamExpansion, len(frontier))...)
-		if w := min(workers, len(frontier)); w <= 1 {
-			expand0 := s.pe
-			for i := range frontier {
-				expansions[i] = expand(expand0, frontier[i])
-			}
-		} else {
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			for k := 0; k < w; k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					pe := s.newPrefixEval()
-					for i := range idx {
-						expansions[i] = expand(pe, frontier[i])
-					}
-				}()
-			}
-			for i := range frontier {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-		}
-
-		// Phase 2: replay serially in frontier order — identical decisions
-		// to the serial loop.
-		var next []beamNode
-		for i := range frontier {
+		top.kids = top.kids[:0]
+		seq := 0
+		for i, cur := range frontier {
 			res.NodesExpanded++
-			ex := &expansions[i]
-			if ex.complete && ex.full < bestCost {
-				bestCost = ex.full
-				bestSched = frontier[i].sched.Clone()
-				bestSpan = ex.span
-			}
-			for _, child := range ex.kids {
-				if child.g >= bestCost {
-					continue // cannot beat the best complete schedule
+			row := sched[i*depth : (i+1)*depth]
+			lv := next[i*nf : (i+1)*nf]
+			pe.Load(row)
+			complete := true
+			for _, f := range s.order {
+				if lv[f] == 0 {
+					complete = false
+					break
 				}
-				next = append(next, child)
-				res.NodesAllocated++
+			}
+			if complete {
+				if full, span := pe.Finish(cur); full < bestCost {
+					bestCost, bestSpan = full, span
+					bestSched = append(bestSched[:0], row...)
+				}
+			}
+			for _, f := range s.order {
+				for l := lv[f]; int(l) < p.Levels; l++ {
+					c, g := pe.Advance(cur, sim.CompileEvent{Func: f, Level: l})
+					if g >= bestCost {
+						continue // cannot beat the best complete schedule
+					}
+					res.NodesAllocated++
+					top.offer(beamKid{g: g, cur: c, parent: int32(i), seq: seq, fn: f, level: l})
+					seq++
+				}
 			}
 		}
-		sort.SliceStable(next, func(i, j int) bool { return next[i].g < next[j].g })
-		if len(next) > width {
-			next = next[:width]
+		kids := top.kids
+		slices.SortFunc(kids, func(a, b beamKid) int {
+			if c := cmp.Compare(a.g, b.g); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+
+		d := depth + 1
+		nsched = slices.Grow(nsched[:0], len(kids)*d)[:len(kids)*d]
+		nnext = slices.Grow(nnext[:0], len(kids)*nf)[:len(kids)*nf]
+		frontier = frontier[:0]
+		for j, k := range kids {
+			pi := int(k.parent)
+			row := nsched[j*d : (j+1)*d]
+			copy(row, sched[pi*depth:(pi+1)*depth])
+			row[depth] = sim.CompileEvent{Func: k.fn, Level: k.level}
+			lv := nnext[j*nf : (j+1)*nf]
+			copy(lv, next[pi*nf:(pi+1)*nf])
+			lv[k.fn] = k.level + 1
+			frontier = append(frontier, k.cur)
 		}
-		frontier = next
+		sched, nsched = nsched, sched
+		next, nnext = nnext, next
 	}
 	if bestSched == nil {
 		return res, fmt.Errorf("astar: beam search found no complete schedule (internal error)")
-	}
-	if autoBucket >= 0 {
-		searchDispatcher.observe(autoBucket, workers > 1, time.Since(autoStart), res.NodesExpanded)
 	}
 	res.Schedule = bestSched
 	res.MakeSpan = bestSpan

@@ -38,7 +38,7 @@ import (
 //     over worker goroutines with work-stealing index spans, while every
 //     search decision (pops, prunes, table writes, budget accounting) happens
 //     serially in batch order — so the result is bit-identical for any
-//     worker count, exactly like BeamSearch.
+//     worker count.
 //
 // Memory is pooled: nodes live in slab arenas addressed by index, the open
 // list is a slice of those indexes, and the table keeps its storage across

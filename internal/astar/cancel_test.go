@@ -32,7 +32,9 @@ func cancelEntries() []searchEntry {
 		}},
 		{"BeamSearchContext", func(ctx context.Context, in trInput) (*Result, error) {
 			tr, p := tinyInstance(in.nfuncs, in.ncalls, in.seed)
-			return BeamSearchContext(ctx, tr, p, BeamOptions{Workers: 1})
+			// A wide beam: at the default width the serial beam finishes the
+			// mid-run instance in ~10ms, before the cancel lands.
+			return BeamSearchContext(ctx, tr, p, BeamOptions{Workers: 1, Width: 1 << 14})
 		}},
 		{"BnBSearchContext", func(ctx context.Context, in trInput) (*Result, error) {
 			tr, p := tinyInstance(in.nfuncs, in.ncalls, in.seed)
@@ -85,8 +87,9 @@ func TestMidRunCancelNoPartialSchedule(t *testing.T) {
 		t.Skip("long search instance")
 	}
 	// Large enough that none of the entry points finish before the cancel
-	// lands (BnB alone needs ~1s on this instance; A*/exhaustive/IDA far
-	// more), yet every stride is crossed quickly once cancelled.
+	// lands (beam at width 1<<14 needs ~0.7s and BnB ~1s on this instance;
+	// A*/exhaustive/IDA far more), yet every stride is crossed quickly once
+	// cancelled.
 	in := trInput{12, 200, 7}
 	for _, e := range cancelEntries() {
 		t.Run(e.name, func(t *testing.T) {

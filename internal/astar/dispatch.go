@@ -8,15 +8,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Adaptive serial/parallel dispatch for the batch-parallel searches (beam,
-// BnB). BENCH_search.json shows the parallel pipelines only ~10-15% ahead of
-// serial on small instances — goroutine fan-out has a floor cost, and below
-// some instance size serial wins outright. Following the SPDP framework's
-// online decision rule ("When to Give Up on a Parallel Implementation",
-// PAPERS.md), Workers=0 now means "auto": the dispatcher keeps a small EWMA
-// table of observed per-node cost for each (instance-size bucket, mode) pair
-// and picks the mode whose estimate is currently cheaper, exploring each
-// unobserved mode once per bucket first. Because both searches are
+// Adaptive serial/parallel dispatch for branch-and-bound's batch-parallel
+// search; it serves BnB only (beam always runs serially, so its costs never
+// enter the table). BENCH_search.json shows the parallel pipeline only
+// ~10-15% ahead of serial on small instances — goroutine fan-out has a floor
+// cost, and below some instance size serial wins outright. Following the
+// SPDP framework's online decision rule ("When to Give Up on a Parallel
+// Implementation", PAPERS.md), Workers=0 means "auto": the dispatcher keeps a
+// small EWMA table of observed per-node cost for each (instance-size bucket,
+// mode) pair and picks the mode whose estimate is currently cheaper,
+// exploring each unobserved mode once per bucket first. Because BnB is
 // bit-identical for every worker count, the decision affects wall time only
 // — never the result — so adaptivity is free of determinism risk. Decisions
 // and the latest observed speedup are recorded in obs.Metrics

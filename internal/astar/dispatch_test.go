@@ -90,8 +90,8 @@ func TestDispatcherObserve(t *testing.T) {
 
 // TestAutoDispatchBitIdentical is the determinism contract for Workers=0:
 // whatever mode the dispatcher picks, the full Result must equal the pinned
-// serial run — for beam and BnB, across repeated auto runs so both
-// exploration branches execute.
+// serial run — for BnB across repeated auto runs so both exploration
+// branches execute, and for beam, which runs serially at every worker count.
 func TestAutoDispatchBitIdentical(t *testing.T) {
 	for seed := int64(900); seed < 904; seed++ {
 		tr, p := tinyInstance(4+int(seed%3), 18, seed)
@@ -124,9 +124,9 @@ func TestAutoDispatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAutoDispatchCounters: Workers=0 runs must be visible in obs — every
-// auto decision increments exactly one of the dispatch counters, and pinned
-// worker counts increment neither.
+// TestAutoDispatchCounters: Workers=0 BnB runs must be visible in obs —
+// every auto decision increments exactly one of the dispatch counters, and
+// pinned worker counts increment neither.
 func TestAutoDispatchCounters(t *testing.T) {
 	tr, p := tinyInstance(5, 20, 77)
 	decisions := func() int64 {
@@ -136,15 +136,12 @@ func TestAutoDispatchCounters(t *testing.T) {
 	before := decisions()
 	const autoRuns = 4
 	for i := 0; i < autoRuns; i++ {
-		if _, err := BeamSearch(tr, p, BeamOptions{}); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := BnBSearch(tr, p, BnBOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := decisions() - before; got != 2*autoRuns {
-		t.Errorf("auto runs recorded %d dispatch decisions, want %d", got, 2*autoRuns)
+	if got := decisions() - before; got != autoRuns {
+		t.Errorf("auto runs recorded %d dispatch decisions, want %d", got, autoRuns)
 	}
 	before = decisions()
 	if _, err := BeamSearch(tr, p, BeamOptions{Workers: 1}); err != nil {
@@ -155,5 +152,33 @@ func TestAutoDispatchCounters(t *testing.T) {
 	}
 	if got := decisions() - before; got != 0 {
 		t.Errorf("pinned-worker runs recorded %d dispatch decisions, want 0", got)
+	}
+}
+
+// TestBeamLeavesDispatcher: the dispatcher serves BnB only. A Workers=0
+// beam must neither record a dispatch decision nor feed its per-node cost
+// into the EWMA bucket BnB of the same function count reads, which would
+// skew BnB's choice and flip its exploration.
+func TestBeamLeavesDispatcher(t *testing.T) {
+	tr, p := tinyInstance(5, 20, 78)
+	snapshot := func() ([dispatchBuckets]dispatchBucket, int64, int64) {
+		searchDispatcher.mu.Lock()
+		defer searchDispatcher.mu.Unlock()
+		s := obs.Default().Snapshot()
+		return searchDispatcher.buckets, s.SearchDispatchSerial, s.SearchDispatchParallel
+	}
+	buckets, serial, parallel := snapshot()
+	for i := 0; i < 3; i++ {
+		if _, err := BeamSearch(tr, p, BeamOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotBuckets, gotSerial, gotParallel := snapshot()
+	if gotBuckets != buckets {
+		t.Errorf("Workers=0 beam changed the dispatch table:\nbefore: %+v\nafter:  %+v", buckets, gotBuckets)
+	}
+	if gotSerial != serial || gotParallel != parallel {
+		t.Errorf("Workers=0 beam moved the dispatch counters: serial %d -> %d, parallel %d -> %d",
+			serial, gotSerial, parallel, gotParallel)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -96,9 +95,9 @@ func TestCursorMatchesCost(t *testing.T) {
 	}
 }
 
-// TestBeamWorkersBitIdentical is the parallel-expansion determinism
-// contract: every observable Result field is identical for 1, 2, and 8
-// workers, across instances and widths.
+// TestBeamWorkersBitIdentical is the worker-count determinism contract:
+// every observable Result field is identical for 1, 2, and 8 workers,
+// across instances and widths.
 func TestBeamWorkersBitIdentical(t *testing.T) {
 	for seed := int64(700); seed < 712; seed++ {
 		tr, p := tinyInstance(3+int(seed%4), 16, seed)
@@ -129,57 +128,27 @@ func TestBeamRejectsBadWorkers(t *testing.T) {
 	}
 }
 
-// measureBeam times reps beam runs at the given worker count, for the
-// opposite-mode reference behind the speedup metric.
-func measureBeam(b *testing.B, tr *trace.Trace, p *profile.Profile, workers, reps int) time.Duration {
-	b.Helper()
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := BeamSearch(tr, p, BeamOptions{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return time.Since(start) / time.Duration(reps)
-}
-
-// BenchmarkBeamSearch measures the full beam pipeline (incremental scoring
-// plus parallel expansion) on a mid-size instance. Workers is pinned to
-// GOMAXPROCS — zero now means adaptive dispatch, and a benchmark must
-// measure one mode, not the dispatcher's mood. The reported speedup metric
-// is serial-ns-per-op / parallel-ns-per-op (>1 means parallel wins), with
-// the serial side sampled untimed before the loop.
+// BenchmarkBeamSearch measures the full beam pipeline (incremental scoring,
+// selection and survivor building) on a mid-size instance. It and
+// BenchmarkBeamSearchSerial run the same serial loop — Workers no longer
+// changes how beam runs — and both names stay so the ledger in
+// BENCH_core.json and BENCH_search.json stays comparable across commits.
 func BenchmarkBeamSearch(b *testing.B) {
+	benchBeam(b, runtime.GOMAXPROCS(0))
+}
+
+// BenchmarkBeamSearchSerial is BenchmarkBeamSearch with Workers pinned to 1.
+func BenchmarkBeamSearchSerial(b *testing.B) {
+	benchBeam(b, 1)
+}
+
+func benchBeam(b *testing.B, workers int) {
 	tr, p := tinyInstance(7, 60, 9)
-	workers := runtime.GOMAXPROCS(0)
-	serialRef := measureBeam(b, tr, p, 1, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BeamSearch(tr, p, BeamOptions{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if perOp := b.Elapsed() / time.Duration(b.N); perOp > 0 {
-		b.ReportMetric(float64(serialRef)/float64(perOp), "speedup")
-	}
-}
-
-// BenchmarkBeamSearchSerial is the single-worker reference for the parallel
-// speedup; it reports the same serial/parallel ratio from its own vantage.
-func BenchmarkBeamSearchSerial(b *testing.B) {
-	tr, p := tinyInstance(7, 60, 9)
-	parallelRef := measureBeam(b, tr, p, runtime.GOMAXPROCS(0), 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BeamSearch(tr, p, BeamOptions{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if parallelRef > 0 {
-		perOp := b.Elapsed() / time.Duration(b.N)
-		b.ReportMetric(float64(perOp)/float64(parallelRef), "speedup")
 	}
 }

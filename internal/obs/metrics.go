@@ -184,7 +184,7 @@ func (m *Metrics) SearchRun(expanded, stored, tableHits, pruned int64) {
 }
 
 // SearchDispatch records one adaptive worker-count decision (Workers=0 auto
-// mode on beam/BnB): whether the dispatcher chose the parallel pipeline.
+// mode on BnB): whether the dispatcher chose the parallel pipeline.
 func (m *Metrics) SearchDispatch(parallel bool) {
 	if m == nil {
 		return
