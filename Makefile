@@ -152,10 +152,13 @@ bench-json-serve:
 	@echo "wrote BENCH_serve.json"
 
 # The differential oracle suite at -short depth: exact vs BnB vs exhaustive
-# agreement, heuristics-never-beat-exact, and the CDCL property tests — the
-# quick certification pass (the full-depth suite runs in `make test`/`race`).
+# agreement, heuristics-never-beat-exact, the CDCL property tests, and the
+# exact DFS's incremental state held to its from-scratch references (per-node
+# chain bound vs CostBoundTight, Push/Pop vs Load, packed vs byte no-good
+# keys) — the quick certification pass (the full-depth suite runs in
+# `make test`/`race`).
 oracle-short:
-	$(GO) test -short -count=1 ./internal/exact/... ./internal/npc/
+	$(GO) test -short -count=1 ./internal/exact/... ./internal/npc/ ./internal/ocsp/
 
 # Regenerate the experiment golden files after an intentional output change.
 golden:

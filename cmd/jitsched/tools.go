@@ -358,7 +358,7 @@ func cmdSimulate(args []string) error {
 			return err
 		}
 	case "v8":
-		p2, err := w.Profile.Restrict(0, 1)
+		p2, err := w.TwoLevelProfile()
 		if err != nil {
 			return err
 		}

@@ -53,10 +53,10 @@ type Benchmark struct {
 	shared *shared
 }
 
-// shared is one suite benchmark's timing profile and default cost model.
-// Both depend on the benchmark alone — not on scale, run, or prefix — so
-// each is built once, on first use, and handed to every later caller. The
-// nine entries are bounded by the suite and never evicted.
+// shared is one suite benchmark's timing profile, default cost model, and
+// two-level profile. All three depend on the benchmark alone — not on scale,
+// run, or prefix — so each is built once, on first use, and handed to every
+// later caller. The nine entries are bounded by the suite and never evicted.
 type shared struct {
 	profileOnce sync.Once
 	profile     *profile.Profile
@@ -64,6 +64,10 @@ type shared struct {
 
 	modelOnce sync.Once
 	model     *profile.Estimated
+
+	twoLevelOnce sync.Once
+	twoLevel     *profile.Profile
+	twoLevelErr  error
 }
 
 // suiteShared backs Benchmark.shared, in suite order.
@@ -304,6 +308,20 @@ func (w *Workload) DefaultModel() *profile.Estimated {
 		}
 	}
 	return profile.NewEstimated(w.Profile, cfg)
+}
+
+// TwoLevelProfile returns the workload's profile restricted to its two
+// lowest levels, V8's low/high pair (Figure 8 and the v8 policy). A
+// workload carrying its suite benchmark's shared profile gets the shared
+// restriction, built once; like the profile it is read-only.
+func (w *Workload) TwoLevelProfile() (*profile.Profile, error) {
+	if sh := w.Bench.shared; sh != nil {
+		if p, err := w.Bench.profile(); err == nil && p == w.Profile {
+			sh.twoLevelOnce.Do(func() { sh.twoLevel, sh.twoLevelErr = p.Restrict(0, 1) })
+			return sh.twoLevel, sh.twoLevelErr
+		}
+	}
+	return w.Profile.Restrict(0, 1)
 }
 
 // Oracle returns the oracle cost-benefit model of §6.2.2.

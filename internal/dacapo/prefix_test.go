@@ -89,6 +89,40 @@ func TestSharedProfileAndModelMatchFresh(t *testing.T) {
 	}
 }
 
+// TestSharedTwoLevelProfile: the shared two-level profile is exactly a fresh
+// Restrict(0, 1), every load of a benchmark hands out the same one, and a
+// workload carrying any other profile gets a restriction of its own.
+func TestSharedTwoLevelProfile(t *testing.T) {
+	for _, b := range Suite() {
+		w, err := b.LoadPrefix(1, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := w.TwoLevelProfile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := w.Profile.Restrict(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p2, fresh) {
+			t.Errorf("%s: shared two-level profile differs from a fresh Restrict(0, 1)", b.Name)
+		}
+		again, err := b.LoadRun(0.02, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, err := again.TwoLevelProfile(); err != nil || q != p2 {
+			t.Errorf("%s: loads returned different two-level profiles (%v)", b.Name, err)
+		}
+		own := &Workload{Bench: b, Trace: w.Trace, Profile: w.Profile.Clone()}
+		if q, err := own.TwoLevelProfile(); err != nil || q == p2 || !reflect.DeepEqual(q, p2) {
+			t.Errorf("%s: a private profile must get an equal restriction of its own (%v)", b.Name, err)
+		}
+	}
+}
+
 // TestConcurrentFirstLoad races the first loads of one benchmark (fresh
 // shared state) and their default models; run under -race, every caller
 // must see the one profile and the one model.

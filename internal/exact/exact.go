@@ -126,21 +126,22 @@ type Solver struct {
 	pe           *ocsp.Eval
 	maxNodes     int
 	maxConflicts int64
-	stride       int
 
 	// pms[j] is the sum of the j smallest compile times over all (function,
 	// level) pairs — the position-deadline bound of the CNF encoding.
 	pms []int64
 
-	next     []profile.Level
-	mask     []byte
-	keyBuf   []byte
-	prefix   sim.Schedule
-	best     sim.Schedule
-	table    nogoodTable
-	kidStack [][]childK
-	alloc    int
-	res      Result
+	next   []profile.Level
+	chain  *ocsp.Chain
+	key    *ocsp.KeyLayout
+	mask   []uint64
+	keyBuf []uint64
+	prefix sim.Schedule
+	best   sim.Schedule
+	table  nogoodTable
+	frames []kidFrame
+	alloc  int
+	res    Result
 
 	// The beam upper bound, computed by the first solve and cached: the beam
 	// is deterministic for a fixed instance, so reuse keeps warm solves
@@ -153,8 +154,8 @@ type Solver struct {
 }
 
 // NewSolver validates and flattens the instance. The profile may have at most
-// 8 levels (the no-good key packs a function's compiled set into one byte,
-// exactly like the BnB transposition table).
+// 8 levels, the limit of the BnB searches, whose state keys pack a
+// function's compiled set into one byte.
 func NewSolver(tr *trace.Trace, p *profile.Profile, opts Options) (*Solver, error) {
 	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {
@@ -177,16 +178,17 @@ func NewSolver(tr *trace.Trace, p *profile.Profile, opts Options) (*Solver, erro
 	if err != nil {
 		return nil, err
 	}
-	nf := p.NumFuncs()
+	key := tab.NewKeyLayout()
 	s := &Solver{
 		tab:          tab,
 		pe:           tab.NewEval(),
 		maxNodes:     maxNodes,
 		maxConflicts: maxConflicts,
-		stride:       nf + 12,
-		next:         make([]profile.Level, nf),
-		mask:         make([]byte, nf),
-		keyBuf:       make([]byte, nf+12),
+		next:         make([]profile.Level, p.NumFuncs()),
+		chain:        tab.NewChain(),
+		key:          key,
+		mask:         make([]uint64, key.Words()),
+		keyBuf:       make([]uint64, key.Words()),
 	}
 	pairC := make([]int64, 0, len(tab.Order)*tab.Levels)
 	for _, f := range tab.Order {

@@ -287,7 +287,7 @@ func Fig8(opts Options) (*FigResult, error) {
 		if err != nil {
 			return BenchResult{}, err
 		}
-		p2, err := w.Profile.Restrict(0, 1)
+		p2, err := w.TwoLevelProfile()
 		if err != nil {
 			return BenchResult{}, err
 		}

@@ -29,6 +29,13 @@ import (
 // node); a call starting at or past the span belongs to descendants.
 // TestCursorMatchesCost (internal/astar) pins g and make-span bit-identical
 // to the reference evaluation across randomized prefixes.
+//
+// The loaded prefix is an undoable state. Searches that jump between nodes
+// (beam, BnB, A*) Load each node's prefix; a depth-first walk instead Pushes
+// the one event it descends by and Pops it on return, each O(1): the event's
+// version goes on the end of its function's list (done times only grow with
+// the span, so the list stays sorted) and the span moves by its compile
+// time. TestPushPopMatchesLoad pins every Push/Pop sequence to a fresh Load.
 
 // Cursor is the committed incremental-evaluation state of a prefix.
 type Cursor struct {
@@ -80,6 +87,34 @@ func (pe *Eval) Load(prefix sim.Schedule) {
 		pe.vlevel[ev.Func] = append(pe.vlevel[ev.Func], ev.Level)
 	}
 	pe.span = span
+}
+
+// Push extends the loaded prefix by ev: it appends ev's version, finishing
+// at the new span, to its function's list. Pop(ev) undoes it. A depth-first
+// walk pushes on descent and pops on return, so each node costs one append
+// instead of a Load of its whole prefix; the lists, the span and touched end
+// exactly as Load(prefix) leaves them.
+func (pe *Eval) Push(ev sim.CompileEvent) {
+	t := pe.t
+	pe.span += t.Compile[int(ev.Func)*t.Levels+int(ev.Level)]
+	if len(pe.vdone[ev.Func]) == 0 {
+		pe.touched = append(pe.touched, ev.Func)
+	}
+	pe.vdone[ev.Func] = append(pe.vdone[ev.Func], pe.span)
+	pe.vlevel[ev.Func] = append(pe.vlevel[ev.Func], ev.Level)
+}
+
+// Pop removes the loaded prefix's last event, which must be ev. Pushes and
+// pops nest, so a function whose list empties is the last one touched.
+func (pe *Eval) Pop(ev sim.CompileEvent) {
+	t := pe.t
+	pe.span -= t.Compile[int(ev.Func)*t.Levels+int(ev.Level)]
+	n := len(pe.vdone[ev.Func]) - 1
+	pe.vdone[ev.Func] = pe.vdone[ev.Func][:n]
+	pe.vlevel[ev.Func] = pe.vlevel[ev.Func][:n]
+	if n == 0 {
+		pe.touched = pe.touched[:len(pe.touched)-1]
+	}
 }
 
 // Advance scores the loaded prefix extended by ev: it resumes the execution

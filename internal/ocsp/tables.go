@@ -1,12 +1,14 @@
 // Package ocsp holds the machinery shared by every exact OCSP solver: the
 // flattened per-instance timing tables, the incremental prefix evaluator of
-// the Fig. 4 search tree, and the admissible lower bounds (bounds.go) that
-// both the branch-and-bound searches (internal/astar) and the CDCL-backed
-// optimality oracle (internal/exact) prune with.
+// the Fig. 4 search tree, the admissible lower bounds (bounds.go) that both
+// the branch-and-bound searches (internal/astar) and the CDCL-backed
+// optimality oracle (internal/exact) prune with, and the packed state keys
+// (key.go) of the oracle's no-good table.
 //
 // The package is deliberately mechanism-only: it has no search loop and no
 // policy. A solver builds Tables once per instance, hands out Eval scratch
-// per goroutine, and asks CostBound / CostBoundTight for pruning decisions.
+// per goroutine, and asks CostBound / CostBoundTight — or, walking depth
+// first, a per-node Chain — for pruning decisions.
 package ocsp
 
 import (

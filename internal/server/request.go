@@ -505,7 +505,7 @@ func execute(ctx context.Context, req *ScheduleRequest, w *dacapo.Workload, pl *
 			return nil, err
 		}
 	case "v8":
-		p2, perr := p.Restrict(0, 1)
+		p2, perr := w.TwoLevelProfile()
 		if perr != nil {
 			return nil, badRequest("v8: %v", perr)
 		}
