@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test race runner-race fuzz-smoke serve-smoke oracle-short bench bench-guard bench-json bench-json-search bench-json-online bench-json-serve golden ci
+.PHONY: all build vet fmt-check test race runner-race fuzz-smoke serve-smoke oracle-short bench bench-guard bench-json bench-json-search bench-json-online bench-json-serve bench-pair golden ci
 
 all: build
 
@@ -150,6 +150,36 @@ bench-json-serve:
 	$(GO) run ./cmd/jitsched bench-serve -preset stream-mix -requests 12000 -concurrency 32 \
 		-o BENCH_serve.json -max-p99 2s -min-hit-rate 0.95
 	@echo "wrote BENCH_serve.json"
+
+# Paired before/after against a base revision. Builds the test binary of
+# PKG twice — from a `git archive` export of BASE (a local checkout, no
+# network) and from the working tree — then runs the benchmarks matching
+# BENCH on both N times, alternating which side runs first, each binary in
+# its own copy of the package directory. Prints, per benchmark and unit,
+# both medians with their quartiles, the change in the median, and how many
+# of the N pairs the change won (lower wins, except speed-ups and rates).
+#   make bench-pair BASE=HEAD~1 BENCH='^BenchmarkIAR$' PKG=. N=10
+BASE ?=
+BENCH ?= .
+PKG ?= .
+N ?= 10
+BENCHTIME ?= 1s
+
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> BENCH=<regexp> [PKG=<pkg>] [N=10] [BENCHTIME=1s]"; exit 2; }
+	@set -e; work=$$(mktemp -d); trap 'rm -rf "$$work"' EXIT; \
+	mkdir "$$work/base"; git archive "$(BASE)" | tar -x -C "$$work/base"; \
+	(cd "$$work/base" && $(GO) test -c -o "$$work/base.test" "$(PKG)"); \
+	$(GO) test -c -o "$$work/change.test" "$(PKG)"; \
+	$(GO) build -o "$$work/benchjson" ./cmd/benchjson; \
+	bench() { (cd "$$2" && "$$work/$$1.test" -test.run='^$$' -test.bench='$(value BENCH)' \
+		-test.benchmem -test.benchtime=$(BENCHTIME) -test.timeout=1h) >>"$$work/$$1.txt"; }; \
+	for i in $$(seq $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then bench base "$$work/base/$(PKG)"; bench change "$(PKG)"; \
+		else bench change "$(PKG)"; bench base "$$work/base/$(PKG)"; fi; \
+	done; \
+	echo "base $(BASE) ($$(git rev-parse --short "$(BASE)")) vs the working tree, $(N) pairs, $(PKG)"; \
+	"$$work/benchjson" -pair "$$work/base.txt" "$$work/change.txt"
 
 # The differential oracle suite at -short depth: exact vs BnB vs exhaustive
 # agreement, heuristics-never-beat-exact, the CDCL property tests, and the

@@ -33,12 +33,12 @@ import (
 // all times without re-simulation: the init schedule only ever grows at the
 // tail (new functions, low level), so its resumable simulation extends with
 // the new calls, and since call starts are non-decreasing the calls starting
-// before the compile end are a prefix of the trace. The init simulation runs
-// exactly that prefix (sim.PrefixSim.ExecUntilCompileEnd) and n1 counts the
-// calls it ran; no later call can join n1 unless a new function moves the
-// compile end, and then the pass resumes from where it stopped. A one-shot
-// plan over a long trace thus simulates the init schedule only up to its
-// compile end.
+// before the compile end are a prefix of the trace — the head. The init
+// simulation runs exactly the head (sim.PrefixSim.ExecHead) and n1 counts
+// the calls it ran; no later call can join n1 unless a new function moves
+// the compile end, and then the pass resumes from where it stopped. A
+// one-shot plan over a long trace thus simulates the init schedule only up
+// to its compile end.
 //
 // Only functions whose count or n1 changed since the last plan (the dirty
 // set) are reclassified. If no new function appeared and no dirty function's
@@ -52,8 +52,17 @@ import (
 // re-runs the cheap final selection. The fill-slack accept test and step 4's
 // gap fill are re-decided every plan — both compare make-spans that grow
 // with the stream — so a fast replan is never a stale plan. Otherwise the
-// planner rebuilds the schedule structures with two full simulation passes,
-// one of the step-2 schedule and one of its fill-slack candidate.
+// planner rebuilds the schedule structures and re-simulates the step-2
+// schedule and its fill-slack candidate over the prefix, each as a head plus
+// a counted tail: the calls that start before that schedule's compile end,
+// and the one after them, run call by call; past the compile end every
+// function has settled, so the rest moves the clock by Σ_f late[f]·exec[f]
+// (sim.PrefixSim.AdvanceSettled), the late-call counts being the call
+// counts less the head's. The slack table's first-call starts past the head
+// are one settled running sum up to the last first call
+// (sim.PrefixSim.TailStarts). A rebuild thus costs the two heads plus
+// O(functions), not the prefix. The three simulators share one flattened
+// profile (sim.PrefixSim.RebindShared).
 //
 // # Ownership and reuse contract
 //
@@ -83,7 +92,8 @@ type IARPlanner struct {
 	funcs     []iarFunc
 
 	// Formula 2 state: the init schedule's resumable sim, run up to its
-	// compile end, and n1.
+	// compile end, and n1. The init sim owns the flattened profile the two
+	// plan sims share.
 	initSim *sim.PrefixSim
 	n1      []int64
 
@@ -101,17 +111,21 @@ type IARPlanner struct {
 	chosen    []int32
 
 	// Per-simulation late-call counts for step 4: calls starting at or after
-	// that simulation's compile end, maintained incrementally (the compile
-	// end is fixed between rebuilds, and starts are non-decreasing, so only
-	// new calls can join the late set).
+	// that simulation's compile end — the call counts less the head's after
+	// a rebuild, then maintained incrementally (the compile end is fixed
+	// between rebuilds, and starts are non-decreasing, so only new calls can
+	// join the late set).
 	lateBase []int64
 	lateCand []int64
 
 	// Rebuild and step-4 scratch. starts holds the call starts of the last
-	// plan simulation run — the full prefix after a resim, the new calls
-	// after an extension — one buffer for both simulations, since each run's
-	// starts are consumed before the next.
+	// plan simulation run — the head and the call after it after a resim,
+	// the new calls after an extension — one buffer for both simulations,
+	// since each run's starts are consumed before the next. tailAt holds
+	// the settled-tail positions of the first calls the step-2 run did not
+	// record.
 	starts  []int64
+	tailAt  []int
 	slack   []int64
 	suffMin []int64
 	removed []bool
@@ -157,8 +171,12 @@ func (pl *IARPlanner) Reset(p *profile.Profile, opts IAROptions) error {
 		iarCounters.planners.Add(1)
 		obs.Default().IARPlannerCreated()
 	}
-	for _, s := range [...]*sim.PrefixSim{pl.initSim, pl.sched2Sim, pl.candSim} {
-		if err := s.Rebind(p, sim.DefaultConfig()); err != nil {
+	// One flattened profile: the plan simulators read the init simulator's.
+	if err := pl.initSim.Rebind(p, sim.DefaultConfig()); err != nil {
+		return err
+	}
+	for _, s := range [...]*sim.PrefixSim{pl.sched2Sim, pl.candSim} {
+		if err := s.RebindShared(pl.initSim, sim.DefaultConfig()); err != nil {
 			return err
 		}
 	}
@@ -182,6 +200,7 @@ func (pl *IARPlanner) Reset(p *profile.Profile, opts IAROptions) error {
 	pl.order = slices.Grow(pl.order[:0], nf)
 	pl.funcs = slices.Grow(pl.funcs[:0], nf)
 	pl.slack = slices.Grow(pl.slack[:0], nf)
+	pl.tailAt = slices.Grow(pl.tailAt[:0], nf)
 	pl.suffMin = slices.Grow(pl.suffMin[:0], nf+1)
 	pl.sched2 = slices.Grow(pl.sched2[:0], 2*nf)
 	pl.plan = slices.Grow(pl.plan[:0], 2*nf)
@@ -306,7 +325,7 @@ func (pl *IARPlanner) classify(visible *trace.Trace) (stable bool, err error) {
 	// The init pass resumes at its first unexecuted call and runs the calls
 	// that start before the (possibly grown) compile end: n1's new hits.
 	n0 := pl.initSim.NumCalls()
-	n, err := pl.initSim.ExecUntilCompileEnd(calls[n0:])
+	_, n, err := pl.initSim.ExecHead(nil, calls[n0:], false)
 	if err != nil {
 		return false, err
 	}
@@ -406,20 +425,18 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 	}
 	pl.sched2 = sched
 
-	if err := pl.resim(pl.sched2Sim, sched, calls, pl.lateBase); err != nil {
+	if err := pl.resim(pl.sched2Sim, sched, calls, pl.lateBase, !pl.opts.DisableFillSlack); err != nil {
 		return err
 	}
 
 	pl.haveCand = false
 	if !pl.opts.DisableFillSlack {
-		// Slack per init position from the step-2 run (its starts are still
-		// in the scratch), suffix minima, and the greedy no-bubble
-		// replacement set — Fig. 3 step 3.
-		starts, dones := pl.starts, pl.sched2Sim.CompileDones()
-		slack := growTo(pl.slack, len(funcs))
-		pl.slack = slack
-		for i := range funcs {
-			slack[i] = starts[pl.firstCall[funcs[i].f]] - dones[i]
+		// Slack per init position — the first-call start the step-2 run
+		// left in slack less the first compile's finish — suffix minima,
+		// and the greedy no-bubble replacement set — Fig. 3 step 3.
+		slack, dones := pl.slack, pl.sched2Sim.CompileDones()
+		for i := range slack {
+			slack[i] -= dones[i]
 		}
 		suffMin := growTo(pl.suffMin, len(funcs)+1)
 		pl.suffMin = suffMin
@@ -460,7 +477,7 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 				}
 			}
 			pl.candidate = out
-			if err := pl.resim(pl.candSim, out, calls, pl.lateCand); err != nil {
+			if err := pl.resim(pl.candSim, out, calls, pl.lateCand, false); err != nil {
 				return err
 			}
 			pl.haveCand = true
@@ -469,18 +486,65 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 	return nil
 }
 
-// resim replays a schedule over the full prefix on a resumable simulator and
-// recomputes its late-call counts from scratch; the starts scratch holds
-// the run's call starts until the next simulation.
-func (pl *IARPlanner) resim(s *sim.PrefixSim, sched Schedule, calls []trace.FuncID, late []int64) error {
+// resim replays a schedule over the prefix on a resumable simulator and
+// recomputes its late-call counts, at the cost of its head plus
+// O(functions): the head (the calls that start before the compile end) and
+// the one call after it, which may wait for the version finishing at the
+// compile end, run call by call; the settled rest advances the clock from
+// per-function call counts. Every call past the head is late, so the late
+// counts are the prefix's call counts less the head's. With first set it
+// also fills slack with each function's first-call start, in funcs order —
+// the head's starts are recorded, and the rest are one settled sum up to
+// the last first call.
+func (pl *IARPlanner) resim(s *sim.PrefixSim, sched Schedule, calls []trace.FuncID, late []int64, first bool) error {
 	s.Reset()
 	for _, ev := range sched {
 		if err := s.AppendCompile(ev); err != nil {
 			return err
 		}
 	}
-	clear(late)
-	return pl.execLate(s, calls, late)
+	starts, h, err := s.ExecHead(pl.starts[:0], calls, first)
+	pl.starts = starts
+	if err != nil {
+		return err
+	}
+	copy(late, pl.counts)
+	for _, f := range calls[:h] {
+		late[f]--
+	}
+	rest := calls[h:]
+	if len(rest) > 0 {
+		if pl.starts, err = s.ExecCalls(pl.starts, rest[:1]); err != nil {
+			return err
+		}
+		rest = rest[1:]
+	}
+	if first {
+		// funcs is in first-call order: the first calls the recorded
+		// starts cover come first, the rest lie in the settled tail.
+		known := len(pl.starts)
+		fs, at := pl.slack[:0], pl.tailAt[:0]
+		for i := range pl.funcs {
+			if fc := pl.firstCall[pl.funcs[i].f]; fc < known {
+				fs = append(fs, pl.starts[fc])
+			} else {
+				at = append(at, fc-known)
+			}
+		}
+		pl.tailAt = at
+		if pl.slack, err = s.TailStarts(fs, rest, at); err != nil {
+			return err
+		}
+	}
+	if len(rest) == 0 {
+		return nil
+	}
+	// The call at the compile end is late but already executed.
+	b := calls[h]
+	late[b]--
+	err = s.AdvanceSettled(late, len(rest))
+	late[b]++
+	return err
 }
 
 // finishPlan re-decides the fill-slack acceptance and re-runs the gap fill —

@@ -3,6 +3,7 @@ package exact_test
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -229,6 +230,82 @@ func TestSolveContextCancelled(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("cancelled solve returned a nil result")
+	}
+	if res.Schedule != nil {
+		t.Fatal("cancelled solve leaked a partial schedule")
+	}
+	if res.Complete {
+		t.Fatal("cancelled solve claims completeness")
+	}
+}
+
+// doneFrom is a context whose Done channel reads open on its first open
+// calls and closed from then on; it counts the calls. The solver reads
+// Done once at each probe boundary and once when a probe's DFS starts, so
+// the count picks the poll a cancel lands on.
+type doneFrom struct {
+	context.Context
+	open, calls int
+	live, shut  chan struct{}
+}
+
+func newDoneFrom(open int) *doneFrom {
+	shut := make(chan struct{})
+	close(shut)
+	return &doneFrom{Context: context.Background(), open: open, live: make(chan struct{}), shut: shut}
+}
+
+func (c *doneFrom) Done() <-chan struct{} {
+	c.calls++
+	if c.calls > c.open {
+		return c.shut
+	}
+	return c.live
+}
+
+func (c *doneFrom) Err() error {
+	if c.calls > c.open {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveContextCancelledInDFS lands a cancel inside the exact DFS, on
+// its own cancelStride poll, which TestSolveContextCancelled never reaches
+// (its deadline always fires in the beam upper bound). A warm solver has
+// its beam bound cached; an un-cancelled solve counts the Done reads, and
+// when every probe ran a DFS the last read is the final probe's DFS start.
+// A context that shuts from that read on must then abort inside that DFS:
+// ErrCancelled, nodes visited, no further Done read, and no schedule.
+func TestSolveContextCancelledInDFS(t *testing.T) {
+	tr, p := instance(8, 50, 3)
+	s, err := exact.NewSolver(tr, p, exact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(); err != nil { // caches the beam bound
+		t.Fatal(err)
+	}
+	count := newDoneFrom(math.MaxInt)
+	full, err := s.SolveContext(count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, fullNodes := count.calls, full.NodesAllocated
+	if full.SATRefuted != 0 || reads != 2*full.Probes {
+		t.Fatalf("%d Done reads over %d probes, %d refuted by CNF: the last read is not a DFS start",
+			reads, full.Probes, full.SATRefuted)
+	}
+	ctx := newDoneFrom(reads - 1)
+	res, err := s.SolveContext(ctx)
+	if !errors.Is(err, exact.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want ErrCancelled wrapping context.Canceled", err)
+	}
+	if ctx.calls != reads {
+		t.Fatalf("%d Done reads, want %d: the cancel landed past the final DFS", ctx.calls, reads)
+	}
+	if res.NodesAllocated == 0 || res.NodesAllocated >= fullNodes {
+		t.Fatalf("cancelled solve visited %d nodes, want between 0 and the full solve's %d", res.NodesAllocated, fullNodes)
 	}
 	if res.Schedule != nil {
 		t.Fatal("cancelled solve leaked a partial schedule")

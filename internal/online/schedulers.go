@@ -38,8 +38,10 @@ type StatsReporter interface {
 // Replanning is incremental: a core.IARPlanner carries the per-function
 // classification, n1, and the previous plan's schedules across
 // replans, so each replan costs O(new calls) when the visible prefix's
-// growth didn't change any classification — and two full simulation passes
-// (the step-2 schedule and its fill-slack candidate) when it did. The plans
+// growth didn't change any classification — and, when it did, a replay of
+// the step-2 schedule and its fill-slack candidate that runs each only up to
+// its compile end and takes the settled rest from per-function call counts.
+// The plans
 // are bit-identical to from-scratch IAR on every prefix (see
 // core.IARPlanner), so the committed stream equals that of a scheduler
 // running core.IAR over the visible prefix at every replan; the

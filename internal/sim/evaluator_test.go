@@ -219,11 +219,13 @@ func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profil
 	}
 }
 
-// diffStopAtCompileEnd checks PrefixSim's init-pass step against the
-// reference run: ExecUntilCompileEnd executes exactly the calls that start
-// before the compile end — Formula 2's n1 prefix — to the reference's exec
-// clock; a second pass executes nothing; and ExecCalls over the rest
-// resumes to the reference's whole run, start for start.
+// diffStopAtCompileEnd checks PrefixSim's head against the reference run:
+// ExecHead executes exactly the calls that start before the compile end —
+// Formula 2's n1 prefix — to the reference's exec clock, with the
+// reference's starts; a second pass executes nothing; and ExecCalls over
+// the rest resumes to the reference's whole run, start for start. The
+// plan-rebuild path — the head, the call at the compile end, and the
+// settled rest from its call counts — must reach the same make-span.
 func diffStopAtCompileEnd(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, full *Result) {
 	t.Helper()
 	ps, err := NewPrefixSim(p, cfg)
@@ -240,16 +242,16 @@ func diffStopAtCompileEnd(t *testing.T, tag string, tr *trace.Trace, p *profile.
 		clock = full.CallStarts[want] + p.ExecTime(tr.Calls[want], full.CallLevels[want])
 		want++
 	}
-	n, err := ps.ExecUntilCompileEnd(tr.Calls)
+	head, n, err := ps.ExecHead(nil, tr.Calls, true)
 	if err != nil {
-		t.Fatalf("%s: ExecUntilCompileEnd: %v", tag, err)
+		t.Fatalf("%s: ExecHead: %v", tag, err)
 	}
-	if n != want || ps.NumCalls() != want || ps.MakeSpan() != clock {
-		t.Fatalf("%s: ExecUntilCompileEnd executed %d calls to clock %d, reference %d to %d",
+	if n != want || ps.NumCalls() != want || ps.MakeSpan() != clock || !slices.Equal(head, full.CallStarts[:n]) {
+		t.Fatalf("%s: ExecHead executed %d calls to clock %d, reference %d to %d, or differs in call starts",
 			tag, n, ps.MakeSpan(), want, clock)
 	}
-	if again, err := ps.ExecUntilCompileEnd(tr.Calls[n:]); err != nil || again != 0 {
-		t.Errorf("%s: second ExecUntilCompileEnd = %d, %v; want 0, nil", tag, again, err)
+	if _, again, err := ps.ExecHead(nil, tr.Calls[n:], false); err != nil || again != 0 {
+		t.Errorf("%s: second ExecHead = %d, %v; want 0, nil", tag, again, err)
 	}
 	rest, err := ps.ExecCalls(nil, tr.Calls[n:])
 	if err != nil {
@@ -258,6 +260,17 @@ func diffStopAtCompileEnd(t *testing.T, tag string, tr *trace.Trace, p *profile.
 	if ps.MakeSpan() != full.MakeSpan || !slices.Equal(rest, full.CallStarts[n:]) {
 		t.Errorf("%s: resumed PrefixSim (span %d) differs from the reference (span %d) or in call starts",
 			tag, ps.MakeSpan(), full.MakeSpan)
+	}
+	settled, err := NewPrefixSim(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runSettled(settled, sched, tr.Calls, nil); err != nil {
+		t.Fatalf("%s: settled path: %v", tag, err)
+	}
+	if settled.MakeSpan() != full.MakeSpan || settled.NumCalls() != tr.Len() {
+		t.Errorf("%s: settled path reaches span %d after %d calls, reference %d after %d",
+			tag, settled.MakeSpan(), settled.NumCalls(), full.MakeSpan, tr.Len())
 	}
 }
 
