@@ -66,8 +66,8 @@ bench:
 
 # The allocation and search-node budgets: with the recorder disabled, the
 # simulator's execution loop must not allocate at all; a warm sim.Evaluator
-# and a warm serial BnB searcher must be allocation-free; a cold
-# sim.Evaluator keeps at most 8 bytes per call (TestEvaluatorPerCallBytes); a
+# and a warm BnB searcher must be allocation-free; a cold sim.Evaluator keeps
+# no per-call state (TestEvaluatorPerCallBytes); a
 # warm one-shot IAR run on a held core.IARPlanner must stay at or under 50
 # allocations and 650 KB, ten times under the first implementation's
 # bytes-per-op (TestIARArenaAllocGuard gates both from the root BenchmarkIAR
@@ -79,7 +79,8 @@ bench:
 # optimality on the 8-function study instance well inside DefaultMaxNodes. The tests assert the
 # budgets; the benchmark runs print the numbers for the log. The exact-solver
 # pair gates the oracle the same way: a warm Solver stays under its small
-# allocation ceiling, and two identical solves are bit-identical. A warm
+# allocation ceiling on six and eight functions, and two identical solves
+# are bit-identical. A warm
 # 2000-call corpus prefix load must stay under 64 KiB, so generating a whole
 # trace only to truncate it (a scale-1 antlr trace alone is ~940 KB) fails.
 # Warm Jikes and V8 policy runs on jython must stay under 40 allocations,
@@ -99,7 +100,7 @@ bench-guard:
 	$(GO) test -run='TestOnlineObserveAllocGuard|TestOnlineReplanSpeedupGuard' -count=1 ./internal/online/
 	$(GO) test -run='TestLoadPrefixAllocGuard' -count=1 ./internal/dacapo/
 	$(GO) test -run='^$$' -bench=BenchmarkRunCallsRecorder -benchtime=100x ./internal/sim/
-	$(GO) test -run='^$$' -bench='BenchmarkEvaluatorRun|BenchmarkEvaluatorDelta' -benchmem -benchtime=50x ./internal/sim/
+	$(GO) test -run='^$$' -bench='BenchmarkEvaluatorRun' -benchmem -benchtime=50x ./internal/sim/
 
 # Machine-readable benchmark record: the evaluator fast path, the search
 # micro-benchmarks, the figure benchmarks with their normalized make-span

@@ -152,10 +152,9 @@ func heapCapFor(budget int) int {
 }
 
 // searcher carries the immutable problem plus scratch space. The immutable
-// part — the flattened timing tables, order, bestE, and bounds of
-// ocsp.Tables — is shared read-only by the parallel BnB workers; the
-// scratch (pe, counters) belongs to the owning goroutine. The table slices
-// are aliased into named fields so the search loops read in this package's
+// part is the flattened timing tables, order, bestE, and bounds of
+// ocsp.Tables; the scratch is pe and the counters. The table slices are
+// aliased into named fields so the search loops read in this package's
 // short vocabulary.
 type searcher struct {
 	tab    *ocsp.Tables

@@ -3,9 +3,6 @@ package astar
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/ocsp"
@@ -34,27 +31,22 @@ import (
 //     paper's bare f(v) = b(v) + e(v), and an incumbent (the best complete
 //     schedule committed so far) cuts everything that cannot strictly beat
 //     it;
-//   - frontiers are expanded in fixed-size batches whose scoring fans out
-//     over worker goroutines with work-stealing index spans, while every
-//     search decision (pops, prunes, table writes, budget accounting) happens
-//     serially in batch order — so the result is bit-identical for any
-//     worker count.
+//   - nodes are popped in fixed-size batches: the incumbent a batch's pops
+//     are pruned against is the one the previous batch left, and a stop
+//     leaf popped behind live nodes waits for the next batch.
 //
-// Memory is pooled: nodes live in slab arenas addressed by index, the open
-// list is a slice of those indexes, and the table keeps its storage across
-// runs — a warm BnB on the serial path does not allocate.
+// The search is serial. Memory is pooled: nodes live in slab arenas
+// addressed by index, the open list is a slice of those indexes, and the
+// table keeps its storage across runs — a warm BnB does not allocate.
 
 // BnBOptions configures a branch-and-bound search.
 type BnBOptions struct {
 	// MaxNodes bounds the number of arena nodes ever allocated (the memory
 	// proxy, same currency as Options.MaxNodes). Zero means DefaultMaxNodes.
 	MaxNodes int
-	// Workers bounds the goroutines scoring a batch (1 means serial, N > 1
-	// means N goroutines). Zero means adaptive dispatch: the process-wide
-	// EWMA table in dispatch.go picks serial or GOMAXPROCS parallel per
-	// instance-size bucket from recently observed per-node costs. The result
-	// is bit-identical for every worker count, so dispatch never changes the
-	// answer — only the wall time.
+	// Workers is validated (negative is an error) but otherwise ignored:
+	// every value runs the same serial search. The field stays because the
+	// end-to-end benchmark sets it; a change to that benchmark removes it.
 	Workers int
 	// TightBound switches pruning from the historical ocsp.Tables.CostBound
 	// to the strictly-dominating prefix-chain CostBoundTight (the exact
@@ -64,10 +56,10 @@ type BnBOptions struct {
 	TightBound bool
 }
 
-// bnbBatch is the number of nodes popped and expanded per round. It is a
-// constant — never derived from Workers — because the incumbent and the
-// transposition table are only updated between batches: the batch boundary
-// is part of the search's definition, so it must not move with parallelism.
+// bnbBatch is the number of nodes popped per round. The batch boundary is
+// part of the search's definition: pops are pruned against the incumbent as
+// it stood when the round began, and testdata/astar_bnb.txt pins the
+// counters that follow from it.
 const bnbBatch = 64
 
 // bnbSlabSize is the arena slab granularity.
@@ -88,33 +80,16 @@ type bnbNode struct {
 	stop   bool
 }
 
-// bnbChild is a scored candidate child produced by the parallel phase; the
-// serial commit decides whether it becomes a node.
+// bnbChild is a scored candidate child of an expanded node; the commit
+// decides whether it becomes a node.
 type bnbChild struct {
 	cur  cursor
 	g    int64 // committed cost (exact total when stop)
 	f    int64
 	span int64 // child compile span (make-span when stop)
-	e    int64 // effective frontier max(cur.ExecT, span)
 	hash uint64
 	ev   sim.CompileEvent
 	stop bool
-}
-
-// bnbSlot holds one batch slot: the popped node and its expansion. kids and
-// keys are reused across batches.
-type bnbSlot struct {
-	node int32
-	kids []bnbChild
-	keys []byte // kids' state keys, table stride apiece
-}
-
-// bnbWorker is per-goroutine scratch for the scoring phase.
-type bnbWorker struct {
-	pe     *prefixEval
-	prefix sim.Schedule
-	next   []profile.Level
-	mask   []byte
 }
 
 // bnbArena allocates nodes from fixed-size slabs kept across runs.
@@ -142,27 +117,28 @@ func (a *bnbArena) at(i int32) *bnbNode {
 // safe for concurrent use, but repeated Run calls reuse every internal
 // buffer; see TestBnBWarmZeroAlloc.
 type BnB struct {
-	s       *searcher
-	bnd     func(cursor, int64, []profile.Level) int64
-	workers int
-	stride  int
-	// autoBucket is the dispatch table bucket when Workers=0 chose the mode
-	// adaptively, or -1 for an explicit worker count. Auto runs feed their
-	// per-node cost back to the dispatcher.
-	autoBucket int
+	s      *searcher
+	bnd    func(cursor, int64, []profile.Level) int64
+	stride int
 
 	arena bnbArena
 	table transTable
 	open  []int32 // min-heap of arena indexes on (f, seq)
-	slots [bnbBatch]bnbSlot
-	ws    []bnbWorker
-	spans []atomic.Uint64
 
-	// rootMask/rootKey are scratch for the root's state key; popped is the
-	// batch of live popped nodes.
-	rootMask []byte
-	rootKey  []byte
-	popped   []int32
+	// Expansion scratch: the expanded node's prefix evaluator, prefix,
+	// per-function next levels and compiled mask, and its scored children
+	// with their state keys (table stride apiece).
+	pe     *prefixEval
+	prefix sim.Schedule
+	next   []profile.Level
+	mask   []byte
+	kids   []bnbChild
+	keys   []byte
+
+	// rootKey is scratch for the root's state key; popped is the batch of
+	// live popped nodes.
+	rootKey []byte
+	popped  []int32
 
 	seq   int64
 	paths float64 // totalPaths, computed once so Run stays allocation-free
@@ -180,39 +156,24 @@ func NewBnB(tr *trace.Trace, p *profile.Profile, opts BnBOptions) (*BnB, error) 
 	if p.Levels > 8 {
 		return nil, fmt.Errorf("astar: BnB supports at most 8 levels, got %d", p.Levels)
 	}
-	workers := opts.Workers
-	autoBucket := -1
-	if workers == 0 {
-		autoBucket = dispatchBucketFor(len(s.order))
-		workers = searchDispatcher.choose(autoBucket)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("astar: BnB workers must be >= 1, got %d", opts.Workers)
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("astar: BnB workers must be non-negative, got %d", opts.Workers)
 	}
 	nf := p.NumFuncs()
 	b := &BnB{
-		s:          s,
-		workers:    workers,
-		autoBucket: autoBucket,
-		bnd:        s.tab.CostBound,
-		stride:     nf + 12,
-		open:       make([]int32, 0, heapCapFor(s.budget)),
-		ws:         make([]bnbWorker, workers),
-		spans:      make([]atomic.Uint64, workers),
-		rootMask:   make([]byte, nf),
-		rootKey:    make([]byte, nf+12),
-		popped:     make([]int32, 0, bnbBatch),
-		paths:      totalPaths(len(s.order), p.Levels),
+		s:       s,
+		bnd:     s.tab.CostBound,
+		stride:  nf + 12,
+		open:    make([]int32, 0, heapCapFor(s.budget)),
+		pe:      s.newPrefixEval(),
+		next:    make([]profile.Level, nf),
+		mask:    make([]byte, nf),
+		rootKey: make([]byte, nf+12),
+		popped:  make([]int32, 0, bnbBatch),
+		paths:   totalPaths(len(s.order), p.Levels),
 	}
 	if opts.TightBound {
 		b.bnd = s.tab.CostBoundTight
-	}
-	for i := range b.ws {
-		b.ws[i] = bnbWorker{
-			pe:   s.newPrefixEval(),
-			next: make([]profile.Level, nf),
-			mask: make([]byte, nf),
-		}
 	}
 	return b, nil
 }
@@ -247,12 +208,11 @@ func (b *BnB) Run() (*Result, error) {
 	return b.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation, polled once per expansion
-// batch (bnbBatch pops). Parallel scoring never outlives a batch, so a done
-// context aborts between batches with ErrCancelled, counters filled, and no
-// schedule — the serial commit discipline is preserved, and an un-cancelled
-// run is bit-identical to Run. A warm cancellable run still allocates
-// nothing; see TestBnBWarmZeroAllocCancellable.
+// RunContext is Run with cooperative cancellation, polled once per batch
+// (bnbBatch pops). A done context aborts between batches with ErrCancelled,
+// counters filled, and no schedule; an un-cancelled run is bit-identical to
+// Run. A warm cancellable run still allocates nothing; see
+// TestBnBWarmZeroAllocCancellable.
 func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 	s := b.s
 	b.res = Result{PathsTotal: b.paths}
@@ -268,22 +228,17 @@ func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 	b.open = b.open[:0]
 	b.seq = 0
 	s.alloc = 0
-	var autoStart time.Time
-	if b.autoBucket >= 0 {
-		autoStart = time.Now()
-	}
 
 	const inf = int64(1)<<62 - 1
 	bestCost := inf
 
 	// Root: empty prefix, state key (zero mask, call 0, frontier 0).
-	clear(b.rootMask)
+	clear(b.mask)
 	root := b.arena.alloc()
-	rootKey := b.stateKey(b.rootKey, b.rootMask, 0, 0)
-	w0 := &b.ws[0]
-	clear(w0.next)
+	rootKey := b.stateKey(b.rootKey, b.mask, 0, 0)
+	clear(b.next)
 	*b.arena.at(root) = bnbNode{
-		f:      b.bnd(cursor{}, 0, w0.next),
+		f:      b.bnd(cursor{}, 0, b.next),
 		parent: -1,
 	}
 	b.table.insert(hashKey(rootKey), rootKey)
@@ -295,7 +250,7 @@ func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 			b.fillCounters()
 			return res, cancelErr(ctx)
 		}
-		// Serial pop phase: collect up to bnbBatch live nodes.
+		// Pop phase: collect up to bnbBatch live nodes.
 		popped := b.popped[:0]
 		for len(popped) < bnbBatch && len(b.open) > 0 {
 			idx := b.heapPop()
@@ -304,12 +259,7 @@ func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 				if len(popped) == 0 {
 					// Best-first on an admissible bound: a stop leaf popped
 					// with nothing cheaper pending expansion is optimal.
-					fres := b.finalize(idx)
-					if b.autoBucket >= 0 {
-						searchDispatcher.observe(b.autoBucket, b.workers > 1,
-							time.Since(autoStart), fres.NodesExpanded)
-					}
-					return fres, nil
+					return b.finalize(idx), nil
 				}
 				// Nodes with a bound at or below the leaf's cost were popped
 				// earlier in this round and are still unexpanded — one of
@@ -329,27 +279,15 @@ func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 			continue
 		}
 
-		// Parallel phase: score every slot. Pure with respect to the shared
-		// search state — workers read the arena and the immutable searcher,
-		// and write only their own slot.
-		for k, idx := range popped {
-			b.slots[k].node = idx
-		}
-		if w := min(b.workers, len(popped)); w <= 1 {
-			for k := range popped {
-				b.expandSlot(&b.ws[0], &b.slots[k])
-			}
-		} else {
-			b.expandParallel(len(popped), w)
-		}
-
-		// Serial commit phase: replay slots in pop order, applying budget,
-		// bound, and dominance decisions exactly as a serial search would.
-		for k := range popped {
-			sl := &b.slots[k]
+		// Expand and commit each popped node in pop order. Expanding reads
+		// only the node's own chain of ancestors, and committing only
+		// appends nodes and table entries and lowers bestCost, so the order
+		// of the two steps within the batch does not matter.
+		for _, idx := range popped {
+			b.expand(idx)
 			res.NodesExpanded++
-			for ci := range sl.kids {
-				ch := &sl.kids[ci]
+			for ci := range b.kids {
+				ch := &b.kids[ci]
 				if ch.f >= bestCost {
 					res.BoundPruned++
 					continue
@@ -359,23 +297,22 @@ func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 					return res, ErrBudgetExhausted
 				}
 				if !ch.stop {
-					key := sl.keys[ci*b.stride : (ci+1)*b.stride]
+					key := b.keys[ci*b.stride : (ci+1)*b.stride]
 					if b.table.insert(ch.hash, key) {
 						res.TableHits++
 						continue
 					}
 				}
 				b.seq++
-				idx := b.arena.alloc()
-				parent := sl.node
-				n := b.arena.at(parent)
-				*b.arena.at(idx) = bnbNode{
+				kid := b.arena.alloc()
+				n := b.arena.at(idx)
+				*b.arena.at(kid) = bnbNode{
 					cur:    ch.cur,
 					g:      ch.g,
 					f:      ch.f,
 					span:   ch.span,
 					seq:    b.seq,
-					parent: parent,
+					parent: idx,
 					depth:  n.depth + 1,
 					event:  ch.ev,
 					stop:   ch.stop,
@@ -383,12 +320,12 @@ func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 				if ch.stop {
 					// The leaf's prefix is its parent's; depth stays put so
 					// schedule reconstruction walks the same chain.
-					b.arena.at(idx).depth = n.depth
+					b.arena.at(kid).depth = n.depth
 					if ch.g < bestCost {
 						bestCost = ch.g
 					}
 				}
-				b.heapPush(idx)
+				b.heapPush(kid)
 			}
 		}
 	}
@@ -396,66 +333,62 @@ func (b *BnB) RunContext(ctx context.Context) (*Result, error) {
 	return res, fmt.Errorf("astar: BnB exhausted the open list without a complete schedule (internal error)")
 }
 
-// expandSlot scores one popped node: its children (with bounds and state
-// keys) plus, for a complete prefix, a stop leaf with the exact cost.
-func (b *BnB) expandSlot(w *bnbWorker, sl *bnbSlot) {
+// expand scores one popped node into b.kids and b.keys: its children (with
+// bounds and state keys) plus, for a complete prefix, a stop leaf with the
+// exact cost.
+func (b *BnB) expand(idx int32) {
 	s := b.s
-	n := b.arena.at(sl.node)
-	b.loadNode(w, sl.node)
-	sl.kids = sl.kids[:0]
-	sl.keys = sl.keys[:0]
+	n := b.arena.at(idx)
+	b.loadNode(idx)
+	b.kids = b.kids[:0]
+	b.keys = b.keys[:0]
 
 	missing := 0
 	for _, f := range s.order {
-		if w.next[f] == 0 {
+		if b.next[f] == 0 {
 			missing++
 		}
 	}
 	for _, f := range s.order {
-		for l := w.next[f]; int(l) < s.levels; l++ {
+		for l := b.next[f]; int(l) < s.levels; l++ {
 			ev := sim.CompileEvent{Func: f, Level: l}
-			ccur, _ := w.pe.Advance(n.cur, ev)
+			ccur, _ := b.pe.Advance(n.cur, ev)
 			cspan := n.span + s.compile[int(f)*s.levels+int(l)]
-			saved := w.next[f]
-			w.next[f] = l + 1
-			fb := b.bnd(ccur, cspan, w.next)
-			w.next[f] = saved
+			saved := b.next[f]
+			b.next[f] = l + 1
+			fb := b.bnd(ccur, cspan, b.next)
+			b.next[f] = saved
 
-			e := ccur.ExecT
-			if cspan > e {
-				e = cspan
-			}
 			ke := keyFrontier(ccur, cspan, len(s.tr.Calls))
-			mb := w.mask[f]
-			w.mask[f] = mb | 1<<uint(l)
-			base := len(sl.keys)
-			sl.keys = append(sl.keys, w.mask...)
-			sl.keys = append(sl.keys,
+			mb := b.mask[f]
+			b.mask[f] = mb | 1<<uint(l)
+			base := len(b.keys)
+			b.keys = append(b.keys, b.mask...)
+			b.keys = append(b.keys,
 				byte(ccur.I), byte(ccur.I>>8), byte(ccur.I>>16), byte(ccur.I>>24),
 				byte(ke), byte(ke>>8), byte(ke>>16), byte(ke>>24),
 				byte(ke>>32), byte(ke>>40), byte(ke>>48), byte(ke>>56))
-			w.mask[f] = mb
-			h := hashKey(sl.keys[base : base+b.stride])
-			sl.kids = append(sl.kids, bnbChild{
+			b.mask[f] = mb
+			h := hashKey(b.keys[base : base+b.stride])
+			b.kids = append(b.kids, bnbChild{
 				cur:  ccur,
 				g:    ccur.Bubbles + ccur.Extra,
 				f:    fb,
 				span: cspan,
-				e:    e,
 				hash: h,
 				ev:   ev,
 			})
 		}
 	}
 	if missing == 0 && !n.stop {
-		full, mspan := w.pe.Finish(n.cur)
+		full, mspan := b.pe.Finish(n.cur)
 		// Stop leaves never enter the transposition table: a complete node
 		// and its own stop leaf share a state key, and the parent's entry
 		// must not prune the leaf that proves its cost.
 		// No key is appended for the leaf: it is always the last child, so
 		// the earlier children's key offsets are unaffected, and the commit
 		// path never consults a stop child's key.
-		sl.kids = append(sl.kids, bnbChild{
+		b.kids = append(b.kids, bnbChild{
 			cur:  n.cur,
 			g:    full,
 			f:    full,
@@ -465,98 +398,30 @@ func (b *BnB) expandSlot(w *bnbWorker, sl *bnbSlot) {
 	}
 }
 
-// expandParallel fans count slots out over w workers. Each worker owns a
-// contiguous index span packed into one atomic word (hi<<32 | lo); it claims
-// from the front of its own span and, when empty, steals the upper half of
-// another worker's. Both transitions only shrink a span — lo rises, hi falls
-// — so a stale CAS can never resurrect a claimed slot, and a stolen range is
-// processed privately. Slot writes are disjoint by construction.
-func (b *BnB) expandParallel(count, w int) {
-	for i := 0; i < w; i++ {
-		lo := count * i / w
-		hi := count * (i + 1) / w
-		b.spans[i].Store(uint64(hi)<<32 | uint64(lo))
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(me int) {
-			defer wg.Done()
-			ws := &b.ws[me]
-			for {
-				if k, ok := spanClaim(&b.spans[me]); ok {
-					b.expandSlot(ws, &b.slots[k])
-					continue
-				}
-				lo, hi, ok := 0, 0, false
-				for off := 1; off < w && !ok; off++ {
-					lo, hi, ok = spanSteal(&b.spans[(me+off)%w])
-				}
-				if !ok {
-					return
-				}
-				for k := lo; k < hi; k++ {
-					b.expandSlot(ws, &b.slots[k])
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// spanClaim takes the front index of a span.
-func spanClaim(s *atomic.Uint64) (int, bool) {
-	for {
-		v := s.Load()
-		lo, hi := uint32(v), uint32(v>>32)
-		if lo >= hi {
-			return 0, false
-		}
-		if s.CompareAndSwap(v, uint64(hi)<<32|uint64(lo+1)) {
-			return int(lo), true
-		}
-	}
-}
-
-// spanSteal takes the upper half of a span with at least two pending slots.
-func spanSteal(s *atomic.Uint64) (int, int, bool) {
-	for {
-		v := s.Load()
-		lo, hi := uint32(v), uint32(v>>32)
-		if hi-lo < 2 {
-			return 0, 0, false
-		}
-		mid := hi - (hi-lo)/2
-		if s.CompareAndSwap(v, uint64(mid)<<32|uint64(lo)) {
-			return int(mid), int(hi), true
-		}
-	}
-}
-
 // loadNode rebuilds a node's prefix, per-function next levels, and compiled
-// mask into the worker's scratch, then loads the prefix into its evaluator.
-func (b *BnB) loadNode(w *bnbWorker, idx int32) {
+// mask into the expansion scratch, then loads the prefix into its evaluator.
+func (b *BnB) loadNode(idx int32) {
 	n := b.arena.at(idx)
-	clear(w.next)
-	clear(w.mask)
+	clear(b.next)
+	clear(b.mask)
 	depth := int(n.depth)
-	if cap(w.prefix) < depth {
-		w.prefix = make(sim.Schedule, depth)
+	if cap(b.prefix) < depth {
+		b.prefix = make(sim.Schedule, depth)
 	}
-	w.prefix = w.prefix[:depth]
+	b.prefix = b.prefix[:depth]
 	for v := idx; v != -1; {
 		vn := b.arena.at(v)
 		if vn.parent == -1 {
 			break
 		}
-		w.prefix[vn.depth-1] = vn.event
-		w.mask[vn.event.Func] |= 1 << uint(vn.event.Level)
-		if l := vn.event.Level + 1; l > w.next[vn.event.Func] {
-			w.next[vn.event.Func] = l
+		b.prefix[vn.depth-1] = vn.event
+		b.mask[vn.event.Func] |= 1 << uint(vn.event.Level)
+		if l := vn.event.Level + 1; l > b.next[vn.event.Func] {
+			b.next[vn.event.Func] = l
 		}
 		v = vn.parent
 	}
-	w.pe.Load(w.prefix)
+	b.pe.Load(b.prefix)
 }
 
 // keyFrontier delegates to the shared ocsp.KeyFrontier: the frontier

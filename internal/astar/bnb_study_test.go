@@ -1,9 +1,7 @@
 package astar_test
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/astar"
 	"repro/internal/experiments"
@@ -80,56 +78,10 @@ func TestBnBMatchesExhaustiveOnStudyInstances(t *testing.T) {
 	}
 }
 
-// measureBnB times reps warm runs of a fresh BnB searcher at the given
-// worker count, for the opposite-mode reference behind the speedup metric.
-func measureBnB(b *testing.B, workers, reps int) time.Duration {
-	b.Helper()
-	tr, p := experiments.AStarInstance(8, 50, 8)
-	bn, err := astar.NewBnB(tr, p, astar.BnBOptions{Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := bn.Run(); err != nil {
-		b.Fatal(err)
-	}
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := bn.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return time.Since(start) / time.Duration(reps)
-}
-
 // BenchmarkBnBStudy8 tracks the frontier search's cost on the 8-function
-// study instance (the size the old A* could not finish); the Serial variant
-// is the reference for the parallel speedup. Both feed BENCH_search.json and
-// report speedup = serial-ns-per-op / parallel-ns-per-op (>1 means parallel
-// wins), the opposite mode sampled untimed before the loop. Workers is
-// pinned to GOMAXPROCS — zero now means adaptive dispatch, and a benchmark
-// must measure one mode, not the dispatcher's mood.
+// study instance (the size the old A* could not finish); it feeds
+// BENCH_search.json.
 func BenchmarkBnBStudy8(b *testing.B) {
-	serialRef := measureBnB(b, 1, 2)
-	tr, p := experiments.AStarInstance(8, 50, 8)
-	bn, err := astar.NewBnB(tr, p, astar.BnBOptions{Workers: runtime.GOMAXPROCS(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bn.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if perOp := b.Elapsed() / time.Duration(b.N); perOp > 0 {
-		b.ReportMetric(float64(serialRef)/float64(perOp), "speedup")
-	}
-}
-
-func BenchmarkBnBStudy8Serial(b *testing.B) {
-	parallelRef := measureBnB(b, runtime.GOMAXPROCS(0), 2)
 	tr, p := experiments.AStarInstance(8, 50, 8)
 	bn, err := astar.NewBnB(tr, p, astar.BnBOptions{Workers: 1})
 	if err != nil {
@@ -141,10 +93,5 @@ func BenchmarkBnBStudy8Serial(b *testing.B) {
 		if _, err := bn.Run(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if parallelRef > 0 {
-		perOp := b.Elapsed() / time.Duration(b.N)
-		b.ReportMetric(float64(perOp)/float64(parallelRef), "speedup")
 	}
 }

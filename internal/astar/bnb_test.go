@@ -75,7 +75,8 @@ func TestBnBMatchesExhaustive(t *testing.T) {
 
 // TestBnBWorkersBitIdentical: every observable output of a BnB run —
 // schedule, spans, costs, node and prune counters — is identical for any
-// worker count, and stable across repeated runs of a reused searcher.
+// worker count, 0 included, and stable across repeated runs of a reused
+// searcher.
 func TestBnBWorkersBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		tr, p := tinyInstance(6, 30, seed)
@@ -83,7 +84,7 @@ func TestBnBWorkersBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
-		for _, workers := range []int{2, 8} {
+		for _, workers := range []int{0, 1, 2, 8} {
 			b, err := NewBnB(tr, p, BnBOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -97,6 +98,41 @@ func TestBnBWorkersBitIdentical(t *testing.T) {
 					t.Errorf("seed %d: workers=%d rep %d result differs from serial:\n got %+v\nwant %+v",
 						seed, workers, rep, got, base)
 				}
+			}
+		}
+	}
+}
+
+// TestAutoDispatchBitIdentical is the determinism contract for the default
+// Workers=0: across repeated runs, the full Result of both BnB and beam must
+// equal the pinned serial run.
+func TestAutoDispatchBitIdentical(t *testing.T) {
+	for seed := int64(900); seed < 904; seed++ {
+		tr, p := tinyInstance(4+int(seed%3), 18, seed)
+		serialBeam, err := BeamSearch(tr, p, BeamOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serialBnB, err := BnBSearch(tr, p, BnBOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			autoBeam, err := BeamSearch(tr, p, BeamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serialBeam, autoBeam) {
+				t.Errorf("seed %d run %d: default beam differs from serial:\nserial: %+v\nauto:   %+v",
+					seed, run, serialBeam, autoBeam)
+			}
+			autoBnB, err := BnBSearch(tr, p, BnBOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serialBnB, autoBnB) {
+				t.Errorf("seed %d run %d: default BnB differs from serial:\nserial: %+v\nauto:   %+v",
+					seed, run, serialBnB, autoBnB)
 			}
 		}
 	}

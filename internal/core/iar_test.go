@@ -141,11 +141,11 @@ func legacyIAR(tr *trace.Trace, p *profile.Profile, opts IAROptions) (Schedule, 
 				}
 			}
 			candidate = compact
-			after, err := eval.MakeSpanOf(candidate, sim.DefaultConfig(), sim.Options{})
+			after, err := eval.Run(candidate, sim.DefaultConfig(), sim.Options{})
 			if err != nil {
 				return nil, err
 			}
-			if after <= baseSpan {
+			if after.MakeSpan <= baseSpan {
 				sched = candidate
 				for _, ff := range changed {
 					ff.appended = -1

@@ -11,17 +11,13 @@
 //     is an upper bound on the optimum);
 //   - the lower bound is the prefix-chain bound ocsp.Tables.CostBoundTight at
 //     the root;
-//   - each probe first tries to REFUTE feasibility with a CNF relaxation
-//     solved by the CDCL solver in satsolve (encode.go): UNSAT proves no
-//     schedule fits the window, so the whole tree search is skipped;
-//   - an unrefuted probe falls to a complete threshold DFS (dfs.go) over the
-//     Fig. 4 tree with tight-bound pruning, a no-good state table, and a
-//     quiet-tail symmetry rule.
+//   - each probe is a complete threshold DFS (dfs.go) over the Fig. 4 tree
+//     with tight-bound pruning, a no-good state table, and a quiet-tail
+//     symmetry rule.
 //
 // The decision structure is what makes infeasible probes cheap: a threshold
-// strictly below the optimum prunes almost everything, and the CNF refutation
-// often answers without expanding a single tree node. The first FEASIBLE probe
-// ends the search outright: a threshold DFS with incumbent T+1 and an
+// strictly below the optimum prunes almost everything. The first FEASIBLE
+// probe ends the search outright: a threshold DFS with incumbent T+1 and an
 // admissible bound is a full branch-and-bound, so the best schedule it finds
 // is the global optimum, not merely the best under T.
 //
@@ -32,7 +28,6 @@ package exact
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/astar"
 	"repro/internal/obs"
@@ -59,10 +54,6 @@ type Options struct {
 	// solve (the memory/time proxy, same currency as astar.Options.MaxNodes).
 	// Zero means DefaultMaxNodes.
 	MaxNodes int
-	// MaxConflicts bounds each CNF probe's CDCL conflicts; past it the probe
-	// reports Unknown and the DFS decides alone. Zero means
-	// DefaultMaxConflicts.
-	MaxConflicts int64
 }
 
 // DefaultMaxNodes gives the exact solver four times the classic searches'
@@ -75,11 +66,6 @@ const DefaultMaxNodes = 1 << 22
 // ladder stops climbing rung by rung and jumps to the terminal threshold.
 const probeJumpNodes = 1 << 20
 
-// DefaultMaxConflicts caps a CNF probe at a few thousand conflicts — enough
-// to refute the encodings that are refutable at these sizes, small enough
-// that a Sat/Unknown outcome costs a negligible slice of the solve.
-const DefaultMaxConflicts = 1 << 13
-
 // Result reports a solve.
 type Result struct {
 	// Schedule is the certified-optimal compilation sequence; MakeSpan its
@@ -91,15 +77,14 @@ type Result struct {
 	// Complete is true when optimality was proven (always, unless an error
 	// aborted the solve).
 	Complete bool
-	// Probes counts threshold-escalation rounds; SATProbes the CNF encodings
-	// attempted, of which SATRefuted proved their window infeasible (each
-	// skipping a whole DFS probe).
-	Probes     int
+	// Probes counts threshold-escalation rounds.
+	Probes int
+	// SATProbes, SATRefuted and Conflicts always read 0. They stay because
+	// the end-to-end benchmark reads them; a change to that benchmark
+	// removes them.
 	SATProbes  int
 	SATRefuted int
-	// Conflicts and LearnedClauses sum the CDCL solver's work across probes.
-	Conflicts      int64
-	LearnedClauses int64
+	Conflicts  int64
 	// NodesExpanded counts DFS nodes whose children were generated across all
 	// probes; NodesAllocated the nodes visited (the budget currency);
 	// PathsTotal the Fig. 4 root-to-leaf path estimate, for "searched k of n"
@@ -122,14 +107,9 @@ type Result struct {
 // concurrent use, but repeated Solve calls reuse the DFS scratch and the
 // no-good table's storage; see TestSolverWarmAllocs.
 type Solver struct {
-	tab          *ocsp.Tables
-	pe           *ocsp.Eval
-	maxNodes     int
-	maxConflicts int64
-
-	// pms[j] is the sum of the j smallest compile times over all (function,
-	// level) pairs — the position-deadline bound of the CNF encoding.
-	pms []int64
+	tab      *ocsp.Tables
+	pe       *ocsp.Eval
+	maxNodes int
 
 	next   []profile.Level
 	chain  *ocsp.Chain
@@ -164,13 +144,6 @@ func NewSolver(tr *trace.Trace, p *profile.Profile, opts Options) (*Solver, erro
 	if maxNodes < 0 {
 		return nil, fmt.Errorf("exact: MaxNodes must be non-negative, got %d", opts.MaxNodes)
 	}
-	maxConflicts := opts.MaxConflicts
-	if maxConflicts == 0 {
-		maxConflicts = DefaultMaxConflicts
-	}
-	if maxConflicts < 0 {
-		return nil, fmt.Errorf("exact: MaxConflicts must be non-negative, got %d", opts.MaxConflicts)
-	}
 	if p.Levels > 8 {
 		return nil, fmt.Errorf("exact: at most 8 levels supported, got %d", p.Levels)
 	}
@@ -179,29 +152,16 @@ func NewSolver(tr *trace.Trace, p *profile.Profile, opts Options) (*Solver, erro
 		return nil, err
 	}
 	key := tab.NewKeyLayout()
-	s := &Solver{
-		tab:          tab,
-		pe:           tab.NewEval(),
-		maxNodes:     maxNodes,
-		maxConflicts: maxConflicts,
-		next:         make([]profile.Level, p.NumFuncs()),
-		chain:        tab.NewChain(),
-		key:          key,
-		mask:         make([]uint64, key.Words()),
-		keyBuf:       make([]uint64, key.Words()),
-	}
-	pairC := make([]int64, 0, len(tab.Order)*tab.Levels)
-	for _, f := range tab.Order {
-		for l := 0; l < tab.Levels; l++ {
-			pairC = append(pairC, tab.Compile[int(f)*tab.Levels+l])
-		}
-	}
-	sort.Slice(pairC, func(i, j int) bool { return pairC[i] < pairC[j] })
-	s.pms = make([]int64, len(pairC)+1)
-	for j, c := range pairC {
-		s.pms[j+1] = s.pms[j] + c
-	}
-	return s, nil
+	return &Solver{
+		tab:      tab,
+		pe:       tab.NewEval(),
+		maxNodes: maxNodes,
+		next:     make([]profile.Level, p.NumFuncs()),
+		chain:    tab.NewChain(),
+		key:      key,
+		mask:     make([]uint64, key.Words()),
+		keyBuf:   make([]uint64, key.Words()),
+	}, nil
 }
 
 // Solve runs the solver. The Result (including its Schedule) aliases the
@@ -222,7 +182,7 @@ func (s *Solver) SolveContext(ctx context.Context) (*Result, error) {
 	res := &s.res
 	defer func() {
 		res.NodesAllocated = s.alloc
-		obs.Default().ExactSolve(res.Conflicts, res.LearnedClauses)
+		obs.Default().ExactSolve()
 	}()
 	if len(tab.Order) == 0 {
 		res.Complete = true
@@ -256,8 +216,8 @@ func (s *Solver) SolveContext(ctx context.Context) (*Result, error) {
 
 	// Threshold escalation on the cost, from below. Invariant: optimum ∈
 	// [lo, bestCost]. Each round probes a threshold T >= lo; an infeasible
-	// probe (CNF refutation or an empty-handed complete DFS) raises lo to
-	// T+1, and a feasible DFS probe — a full branch-and-bound seeded with
+	// probe (an empty-handed complete DFS) raises lo to T+1, and a feasible
+	// probe — a full branch-and-bound seeded with
 	// incumbent T+1 — returns the GLOBAL optimum and ends the loop outright.
 	// If lo meets bestCost first, the beam schedule itself is provably
 	// optimal.
@@ -288,11 +248,6 @@ func (s *Solver) SolveContext(ctx context.Context) (*Result, error) {
 			t = bestCost - 1
 		}
 		res.Probes++
-		if s.refuteCNF(t) {
-			lo = t + 1
-			step *= 2
-			continue
-		}
 		before := s.alloc
 		found, c, span, err := s.dfsProbe(ctx, t)
 		if err != nil {

@@ -196,9 +196,7 @@ func TestSolveDeterminism(t *testing.T) {
 	if a.Cost != b.Cost || a.MakeSpan != b.MakeSpan || a.Probes != b.Probes ||
 		a.NodesExpanded != b.NodesExpanded || a.NodesAllocated != b.NodesAllocated ||
 		a.TableHits != b.TableHits || a.BoundPruned != b.BoundPruned ||
-		a.SymmetrySkipped != b.SymmetrySkipped || a.StatesStored != b.StatesStored ||
-		a.SATProbes != b.SATProbes || a.SATRefuted != b.SATRefuted ||
-		a.Conflicts != b.Conflicts || a.LearnedClauses != b.LearnedClauses {
+		a.SymmetrySkipped != b.SymmetrySkipped || a.StatesStored != b.StatesStored {
 		t.Fatalf("two identical solves diverged:\n%+v\nvs\n%+v", a, b)
 	}
 	if len(a.Schedule) != len(b.Schedule) {
@@ -274,7 +272,7 @@ func (c *doneFrom) Err() error {
 // its own cancelStride poll, which TestSolveContextCancelled never reaches
 // (its deadline always fires in the beam upper bound). A warm solver has
 // its beam bound cached; an un-cancelled solve counts the Done reads, and
-// when every probe ran a DFS the last read is the final probe's DFS start.
+// since every probe runs a DFS the last read is the final probe's DFS start.
 // A context that shuts from that read on must then abort inside that DFS:
 // ErrCancelled, nodes visited, no further Done read, and no schedule.
 func TestSolveContextCancelledInDFS(t *testing.T) {
@@ -292,9 +290,8 @@ func TestSolveContextCancelledInDFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	reads, fullNodes := count.calls, full.NodesAllocated
-	if full.SATRefuted != 0 || reads != 2*full.Probes {
-		t.Fatalf("%d Done reads over %d probes, %d refuted by CNF: the last read is not a DFS start",
-			reads, full.Probes, full.SATRefuted)
+	if reads != 2*full.Probes {
+		t.Fatalf("%d Done reads over %d probes: the last read is not a DFS start", reads, full.Probes)
 	}
 	ctx := newDoneFrom(reads - 1)
 	res, err := s.SolveContext(ctx)
@@ -326,32 +323,36 @@ func TestSolveBudgetExhausted(t *testing.T) {
 }
 
 // TestSolverWarmAllocs gates the reusable solver's steady-state allocation
-// footprint: after a cold run has grown every buffer, repeat solves on a
-// CNF-free size (under minCNFFuncs the probes never build a satsolve.Solver)
-// stay under a small ceiling — the DFS scratch, no-good table, and schedule
+// footprint: after a cold run has grown every buffer, repeat solves stay
+// under a small ceiling — the DFS scratch, no-good table, and schedule
 // buffers are all reused.
 func TestSolverWarmAllocs(t *testing.T) {
-	tr, p := instance(6, 50, 2)
-	s, err := exact.NewSolver(tr, p, exact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+	for _, c := range []struct {
+		nf   int
+		seed int64
+	}{{6, 2}, {8, 5}} {
+		tr, p := instance(c.nf, 50, c.seed)
+		s, err := exact.NewSolver(tr, p, exact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	const ceiling = 64
-	if allocs > ceiling {
-		t.Fatalf("warm exact solve allocates %.0f objects, ceiling %d", allocs, ceiling)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := s.Solve(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const ceiling = 64
+		if allocs > ceiling {
+			t.Fatalf("%d funcs: warm exact solve allocates %.0f objects, ceiling %d", c.nf, allocs, ceiling)
+		}
 	}
 }
 
-// BenchmarkExactSolve reports the oracle's cost profile with its CDCL and
-// pruning counters as custom metrics.
+// BenchmarkExactSolve reports the oracle's cost profile with its search
+// counters as custom metrics.
 func BenchmarkExactSolve(b *testing.B) {
 	tr, p := instance(9, 50, 42+9)
 	s, err := exact.NewSolver(tr, p, exact.Options{})
@@ -369,8 +370,6 @@ func BenchmarkExactSolve(b *testing.B) {
 	}
 	if last != nil {
 		b.ReportMetric(float64(last.NodesExpanded), "nodes/solve")
-		b.ReportMetric(float64(last.Conflicts), "conflicts/solve")
-		b.ReportMetric(float64(last.LearnedClauses), "learned/solve")
 		b.ReportMetric(float64(last.StatesStored), "states/solve")
 	}
 }

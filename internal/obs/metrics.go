@@ -37,13 +37,7 @@ type Metrics struct {
 	searchTableHits atomic.Int64
 	searchPruned    atomic.Int64
 
-	searchDispatchSerial   atomic.Int64
-	searchDispatchParallel atomic.Int64
-	searchSpeedupMilli     atomic.Int64
-
-	exactSolves    atomic.Int64
-	exactConflicts atomic.Int64
-	exactLearned   atomic.Int64
+	exactSolves atomic.Int64
 
 	iarArenas   atomic.Int64
 	iarRuns     atomic.Int64
@@ -183,38 +177,12 @@ func (m *Metrics) SearchRun(expanded, stored, tableHits, pruned int64) {
 	m.searchPruned.Add(pruned)
 }
 
-// SearchDispatch records one adaptive worker-count decision (Workers=0 auto
-// mode on BnB): whether the dispatcher chose the parallel pipeline.
-func (m *Metrics) SearchDispatch(parallel bool) {
-	if m == nil {
-		return
-	}
-	if parallel {
-		m.searchDispatchParallel.Add(1)
-	} else {
-		m.searchDispatchSerial.Add(1)
-	}
-}
-
-// SearchSpeedup records the dispatcher's latest observed serial/parallel
-// speedup estimate for some instance-size bucket, in thousandths (1000 =
-// parity). It is a gauge: the last write wins.
-func (m *Metrics) SearchSpeedup(milli int64) {
-	if m == nil {
-		return
-	}
-	m.searchSpeedupMilli.Store(milli)
-}
-
-// ExactSolve records one exact-solver run (completed or aborted) and the
-// CDCL work its CNF probes did: conflicts hit and clauses learned.
-func (m *Metrics) ExactSolve(conflicts, learned int64) {
+// ExactSolve records one exact-solver run (completed or aborted).
+func (m *Metrics) ExactSolve() {
 	if m == nil {
 		return
 	}
 	m.exactSolves.Add(1)
-	m.exactConflicts.Add(conflicts)
-	m.exactLearned.Add(learned)
 }
 
 // IARPlannerCreated records one IAR planner sized by its first reset.
@@ -407,17 +375,8 @@ type Snapshot struct {
 	SearchStored    int64 `json:"search_stored"`
 	SearchTableHits int64 `json:"search_table_hits"`
 	SearchPruned    int64 `json:"search_pruned"`
-	// SearchDispatchSerial/Parallel count the adaptive dispatcher's Workers=0
-	// decisions; SearchSpeedupMilli is its latest observed serial/parallel
-	// speedup estimate in thousandths (1000 = parity, 0 = no observation yet).
-	SearchDispatchSerial   int64 `json:"search_dispatch_serial"`
-	SearchDispatchParallel int64 `json:"search_dispatch_parallel"`
-	SearchSpeedupMilli     int64 `json:"search_speedup_milli"`
-	// ExactSolves counts exact-solver runs; ExactConflicts and ExactLearned
-	// sum the CDCL conflicts hit and clauses learned across their CNF probes.
-	ExactSolves    int64 `json:"exact_solves"`
-	ExactConflicts int64 `json:"exact_conflicts"`
-	ExactLearned   int64 `json:"exact_learned_clauses"`
+	// ExactSolves counts exact-solver runs.
+	ExactSolves int64 `json:"exact_solves"`
 	// IARArenas counts IAR planners created (the key predates the planner);
 	// IARRuns the one-shot IAR runs served, of which IARWarmRuns reused an
 	// already-sized planner. A high runs-to-planners ratio is the reuse
@@ -488,13 +447,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		SearchTableHits: m.searchTableHits.Load(),
 		SearchPruned:    m.searchPruned.Load(),
 
-		SearchDispatchSerial:   m.searchDispatchSerial.Load(),
-		SearchDispatchParallel: m.searchDispatchParallel.Load(),
-		SearchSpeedupMilli:     m.searchSpeedupMilli.Load(),
-
-		ExactSolves:    m.exactSolves.Load(),
-		ExactConflicts: m.exactConflicts.Load(),
-		ExactLearned:   m.exactLearned.Load(),
+		ExactSolves: m.exactSolves.Load(),
 
 		IARArenas:   m.iarArenas.Load(),
 		IARRuns:     m.iarRuns.Load(),
@@ -550,7 +503,7 @@ func (m *Metrics) copyLabeledInt(src *map[int]int64) map[int]int64 {
 // String renders the snapshot as one log-friendly line.
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"obs: %d jobs started, %d completed (%d failed, %d panicked, %d job-cancelled), %d cache hits, %d deduped, queue wait %v, job wall %v (max %v), %d sims (%d ticks), %d online runs (%d commits, %d forced, %d replans/%d dirty-skips in %v), %d searches (%d expanded, %d stored, %d table hits, %d pruned), dispatch %d serial/%d parallel (speedup %d‰), %d exact solves (%d conflicts, %d learned), %d IAR runs (%d warm) on %d planners, %d served (%d ok, %d cancelled, %d client-gone, %d errored, %d serve cache hits, %d coalesced, %d rejected, %d tenants throttled, depth %d, serve queue wait %v, %d batches/%d items)",
+		"obs: %d jobs started, %d completed (%d failed, %d panicked, %d job-cancelled), %d cache hits, %d deduped, queue wait %v, job wall %v (max %v), %d sims (%d ticks), %d online runs (%d commits, %d forced, %d replans/%d dirty-skips in %v), %d searches (%d expanded, %d stored, %d table hits, %d pruned), %d exact solves, %d IAR runs (%d warm) on %d planners, %d served (%d ok, %d cancelled, %d client-gone, %d errored, %d serve cache hits, %d coalesced, %d rejected, %d tenants throttled, depth %d, serve queue wait %v, %d batches/%d items)",
 		s.JobsStarted, s.JobsCompleted, s.JobsFailed, s.JobsPanicked, s.JobsCancelled,
 		s.CacheHits, s.Deduped,
 		s.QueueWait.Round(time.Microsecond), s.JobWall.Round(time.Microsecond),
@@ -558,8 +511,7 @@ func (s Snapshot) String() string {
 		s.OnlineRuns, s.OnlineCommits, s.OnlineForced,
 		s.OnlineReplans, s.OnlineDirtySkips, time.Duration(s.OnlineReplanNanos).Round(time.Microsecond),
 		s.SearchRuns, s.SearchExpanded, s.SearchStored, s.SearchTableHits, s.SearchPruned,
-		s.SearchDispatchSerial, s.SearchDispatchParallel, s.SearchSpeedupMilli,
-		s.ExactSolves, s.ExactConflicts, s.ExactLearned,
+		s.ExactSolves,
 		s.IARRuns, s.IARWarmRuns, s.IARArenas,
 		s.ServeRequests, s.ServeOK, s.ServeCancelled, s.ServeClientGone, s.ServeErrors,
 		s.ServeCacheHits, s.ServeCoalesced, s.ServeRejected, len(s.ServeTenantRejects),

@@ -119,16 +119,13 @@ type ScheduleEvent struct {
 }
 
 // SearchStats reports the tree-search counters for astar/beam/bnb/exact
-// requests. Conflicts and LearnedClauses are the exact solver's CDCL totals,
-// zero (and omitted) for the classic searches.
+// requests.
 type SearchStats struct {
-	NodesExpanded  int   `json:"nodes_expanded"`
-	NodesAllocated int   `json:"nodes_allocated"`
-	TableHits      int   `json:"table_hits,omitempty"`
-	BoundPruned    int   `json:"bound_pruned,omitempty"`
-	Conflicts      int64 `json:"conflicts,omitempty"`
-	LearnedClauses int64 `json:"learned_clauses,omitempty"`
-	Complete       bool  `json:"complete"`
+	NodesExpanded  int  `json:"nodes_expanded"`
+	NodesAllocated int  `json:"nodes_allocated"`
+	TableHits      int  `json:"table_hits,omitempty"`
+	BoundPruned    int  `json:"bound_pruned,omitempty"`
+	Complete       bool `json:"complete"`
 }
 
 // ScheduleResponse is the POST /schedule result.
@@ -491,8 +488,6 @@ func execute(ctx context.Context, req *ScheduleRequest, w *dacapo.Workload, pl *
 			NodesAllocated: er.NodesAllocated,
 			TableHits:      er.TableHits,
 			BoundPruned:    er.BoundPruned,
-			Conflicts:      er.Conflicts,
-			LearnedClauses: er.LearnedClauses,
 			Complete:       er.Complete,
 		}
 	case "jikes":

@@ -403,10 +403,10 @@ func TestMetricsEndpointRidesAlong(t *testing.T) {
 	}
 }
 
-// TestMetricsExposesArenaAndDispatchKeys: the /metrics document carries the
-// IAR planner and adaptive-dispatch counters, and serving an iar request over
-// this very server moves the run counters it reports.
-func TestMetricsExposesArenaAndDispatchKeys(t *testing.T) {
+// TestMetricsExposesArenaKeys: the /metrics document carries the IAR
+// planner and exact-solver counters, and serving an iar request over this
+// very server moves the run counters it reports.
+func TestMetricsExposesArenaKeys(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	post(t, ts.URL, inlineRequest(t, "iar", 5, 30, 9, nil))
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -419,9 +419,7 @@ func TestMetricsExposesArenaAndDispatchKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"iar_arenas", "iar_runs", "iar_warm_runs",
-		"search_dispatch_serial", "search_dispatch_parallel", "search_speedup_milli",
-		"exact_solves", "exact_conflicts", "exact_learned_clauses",
+		"iar_arenas", "iar_runs", "iar_warm_runs", "exact_solves",
 	} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("/metrics missing %q", key)

@@ -112,10 +112,10 @@ func diffResults(t *testing.T, tag string, want, got *Result) {
 
 // diffAgainstRef runs one (trace, profile, schedule, config, options)
 // instance through every user of the make-span kernel — a cold and a warm
-// Evaluator.Run, the sim.Run wrapper, PrefixSim (whole, and stopped at the
-// compile end then resumed), and the two delta edits — and diffs each
-// against the reference loop: Result fields, error strings, and, in a
-// second pass with a Recorder attached, the recorded event stream.
+// Evaluator.Run, the sim.Run wrapper, and PrefixSim (whole, and stopped at
+// the compile end then resumed) — and diffs each against the reference
+// loop: Result fields, error strings, and, in a second pass with a Recorder
+// attached, the recorded event stream.
 func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opts Options) {
 	t.Helper()
 	want, wantErr := refRun(tr, p, sched, cfg, opts)
@@ -192,31 +192,6 @@ func diffAgainstRef(t *testing.T, tag string, tr *trace.Trace, p *profile.Profil
 		}
 		diffStopAtCompileEnd(t, tag, tr, p, sched, cfg, full)
 	}
-
-	// The delta edits: every level at a few positions, and a few appends.
-	base := opts
-	base.RecordCalls = false
-	if _, err := eval.Run(sched, cfg, base); err != nil {
-		t.Fatal(err)
-	}
-	for _, pos := range []int{0, len(sched) / 2, len(sched) - 1} {
-		if pos < 0 {
-			continue
-		}
-		for l := 0; l < p.Levels; l++ {
-			edited := sched.Clone()
-			edited[pos].Level = profile.Level(l)
-			checkDelta(t, tag, tr, p, edited, cfg, base, func() (int64, error) {
-				return eval.UpgradedMakeSpan(pos, profile.Level(l))
-			})
-		}
-	}
-	for f := 0; f < p.NumFuncs() && f < 3; f++ {
-		ev := CompileEvent{Func: trace.FuncID(f), Level: profile.Level(f % p.Levels)}
-		checkDelta(t, tag, tr, p, append(sched.Clone(), ev), cfg, base, func() (int64, error) {
-			return eval.AppendedMakeSpan(ev)
-		})
-	}
 }
 
 // diffStopAtCompileEnd checks PrefixSim's head against the reference run:
@@ -271,23 +246,6 @@ func diffStopAtCompileEnd(t *testing.T, tag string, tr *trace.Trace, p *profile.
 	if settled.MakeSpan() != full.MakeSpan || settled.NumCalls() != tr.Len() {
 		t.Errorf("%s: settled path reaches span %d after %d calls, reference %d after %d",
 			tag, settled.MakeSpan(), settled.NumCalls(), full.MakeSpan, tr.Len())
-	}
-}
-
-// checkDelta compares one incremental make-span with the reference run of
-// the edited schedule.
-func checkDelta(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, edited Schedule, cfg Config, opts Options, delta func() (int64, error)) {
-	t.Helper()
-	want, err := refRun(tr, p, edited, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := delta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want.MakeSpan {
-		t.Errorf("%s: delta to %v gives make-span %d, reference %d", tag, edited, got, want.MakeSpan)
 	}
 }
 
@@ -410,144 +368,23 @@ func TestEvaluatorMatchesRunErrors(t *testing.T) {
 	}
 }
 
-// deltaWorkload builds a generated trace with phases and bursts, its
-// profile, and a baseline schedule for the delta property tests.
-func deltaWorkload(t testing.TB, seed int64) (*trace.Trace, *profile.Profile, Schedule) {
+// evalWorkload builds a generated trace with phases and bursts, its
+// profile, and a schedule for it.
+func evalWorkload(t testing.TB, seed int64) (*trace.Trace, *profile.Profile, Schedule) {
 	t.Helper()
 	tr := testkit.Gen(trace.GenConfig{
-		Name: "delta", NumFuncs: 30, Length: 2000, Seed: seed,
+		Name: "eval", NumFuncs: 30, Length: 2000, Seed: seed,
 		ZipfS: 1.5, Phases: 3, CoreFuncs: 6, CoreShare: 0.4, BurstMean: 3,
 	})
 	p := testkit.Synth(30, profile.DefaultTiming(4, seed+1))
 	return tr, p, corpusSchedule(tr, p, seed+2)
 }
 
-// TestEvaluatorDeltaMatchesResim is the delta-equals-resimulation property
-// test: for randomized single-event edits (in-place level changes at any
-// position, appends of any event), the incremental make-span equals a full
-// reference simulation of the edited schedule, across worker counts and with
-// execution-time variation on.
-func TestEvaluatorDeltaMatchesResim(t *testing.T) {
-	for _, seed := range []int64{3, 17} {
-		tr, p, sched := deltaWorkload(t, seed)
-		rng := rand.New(rand.NewSource(seed * 101))
-		for _, cfg := range []Config{{CompileWorkers: 1}, {CompileWorkers: 2}} {
-			for _, opts := range []Options{{}, {ExecVariation: 0.25, ExecVariationSeed: 9}} {
-				eval, err := NewEvaluator(tr, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := eval.Run(sched, cfg, opts); err != nil {
-					t.Fatal(err)
-				}
-				for trial := 0; trial < 60; trial++ {
-					pos := rng.Intn(len(sched))
-					level := profile.Level(rng.Intn(p.Levels))
-					edited := sched.Clone()
-					edited[pos].Level = level
-					want, err := refRun(tr, p, edited, cfg, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := eval.UpgradedMakeSpan(pos, level)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want.MakeSpan {
-						t.Fatalf("seed %d workers %d var %g: upgrade pos=%d level=%d: delta %d != resim %d",
-							seed, cfg.CompileWorkers, opts.ExecVariation, pos, level, got, want.MakeSpan)
-					}
-				}
-				for trial := 0; trial < 40; trial++ {
-					ev := CompileEvent{
-						Func:  trace.FuncID(rng.Intn(p.NumFuncs())),
-						Level: profile.Level(rng.Intn(p.Levels)),
-					}
-					edited := append(sched.Clone(), ev)
-					want, err := refRun(tr, p, edited, cfg, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := eval.AppendedMakeSpan(ev)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want.MakeSpan {
-						t.Fatalf("seed %d workers %d var %g: append %+v: delta %d != resim %d",
-							seed, cfg.CompileWorkers, opts.ExecVariation, ev, got, want.MakeSpan)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMakeSpanOfFallback checks the transparent entry point: one-edit
-// candidates ride the fast path, anything else falls back to a full run, and
-// both agree with the reference in every case.
-func TestMakeSpanOfFallback(t *testing.T) {
-	tr, p, sched := deltaWorkload(t, 29)
-	cfg := DefaultConfig()
-	eval, err := NewEvaluator(tr, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eval.Run(sched, cfg, Options{}); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, cand Schedule, cfg Config, opts Options) {
-		t.Helper()
-		want, err := refRun(tr, p, cand, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eval.MakeSpanOf(cand, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want.MakeSpan {
-			t.Errorf("%s: MakeSpanOf %d != reference %d", name, got, want.MakeSpan)
-		}
-	}
-
-	// bump changes a level for sure, whatever the original was.
-	bump := func(l profile.Level) profile.Level { return profile.Level((int(l) + 1) % p.Levels) }
-
-	before := ReadEvalStats()
-	check("identical", sched.Clone(), cfg, Options{})
-	oneUp := sched.Clone()
-	oneUp[4].Level = bump(oneUp[4].Level)
-	check("single upgrade", oneUp, cfg, Options{})
-	check("single append", append(sched.Clone(), CompileEvent{Func: 2, Level: 1}), cfg, Options{})
-	if fast := ReadEvalStats().DeltaFast - before.DeltaFast; fast != 3 {
-		t.Errorf("expected 3 fast delta evaluations, counted %d", fast)
-	}
-
-	// Two edits at once: must transparently fall back to a full simulation
-	// (which then becomes the new baseline).
-	twoUp := sched.Clone()
-	twoUp[1].Level = bump(twoUp[1].Level)
-	twoUp[5].Level = bump(twoUp[5].Level)
-	before = ReadEvalStats()
-	check("two upgrades", twoUp, cfg, Options{})
-	// Different worker count than the baseline: also a fallback.
-	check("other config", twoUp, Config{CompileWorkers: 2}, Options{})
-	if full := ReadEvalStats().DeltaFull - before.DeltaFull; full != 2 {
-		t.Errorf("expected 2 full fallbacks, counted %d", full)
-	}
-	// The fallback re-established a baseline; a single edit from it must be
-	// fast again and still correct.
-	oneMore := twoUp.Clone()
-	oneMore[8].Level = bump(oneMore[8].Level)
-	check("single upgrade after fallback", oneMore, Config{CompileWorkers: 2}, Options{})
-}
-
-// TestEvaluatorZeroAlloc is the arena contract: warm evaluator runs and
-// delta evaluations perform no heap allocation at all. Wired into the
-// bench-guard Makefile target next to the recorder's zero-alloc guard.
+// TestEvaluatorZeroAlloc is the arena contract: warm evaluator runs perform
+// no heap allocation at all. Wired into the bench-guard Makefile target next
+// to the recorder's zero-alloc guard.
 func TestEvaluatorZeroAlloc(t *testing.T) {
-	tr, p, sched := deltaWorkload(t, 47)
+	tr, p, sched := evalWorkload(t, 47)
 	cfg := DefaultConfig()
 	eval, err := NewEvaluator(tr, p)
 	if err != nil {
@@ -565,36 +402,14 @@ func TestEvaluatorZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm Evaluator.Run allocates %v times per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := eval.UpgradedMakeSpan(3, profile.Level(p.Levels-1)); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("UpgradedMakeSpan allocates %v times per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := eval.AppendedMakeSpan(CompileEvent{Func: 1, Level: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("AppendedMakeSpan allocates %v times per run, want 0", allocs)
-	}
-	edited := sched.Clone()
-	edited[2].Level = profile.Level(p.Levels - 1)
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := eval.MakeSpanOf(edited, cfg, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("MakeSpanOf fast path allocates %v times per run, want 0", allocs)
-	}
 }
 
 // TestEvaluatorPerCallBytes is the per-call memory budget, wired into
 // `make bench-guard`: building an evaluator and running it once, cold, on an
-// N-call trace allocates at most 8 bytes per call — the call starts, the
-// only per-call state the kernel keeps — plus a per-function, per-level
-// allowance; after that, Run and both delta evaluations allocate nothing.
+// N-call trace allocates no per-call state at all — only a per-function,
+// per-level allowance — and a warm Run allocates nothing. A RecordCalls run
+// on the same evaluator still returns the reference loop's call starts and
+// levels.
 func TestEvaluatorPerCallBytes(t *testing.T) {
 	const nf, n = 40, 200000
 	tr := testkit.Gen(trace.GenConfig{
@@ -604,7 +419,7 @@ func TestEvaluatorPerCallBytes(t *testing.T) {
 	p := testkit.Synth(nf, profile.DefaultTiming(4, 12))
 	sched := corpusSchedule(tr, p, 13)
 	cfg := DefaultConfig()
-	budget := uint64(8*n + 256*nf*p.Levels)
+	budget := uint64(256 * nf * p.Levels)
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -624,31 +439,30 @@ func TestEvaluatorPerCallBytes(t *testing.T) {
 		t.Logf("cold NewEvaluator+Run: %d B for %d calls, budget %d", cold, n, budget)
 	}
 
-	edits := []func() error{
-		func() error { _, err := eval.Run(sched, cfg, Options{}); return err },
-		func() error { _, err := eval.UpgradedMakeSpan(len(sched)/2, profile.Level(p.Levels-1)); return err },
-		func() error { _, err := eval.AppendedMakeSpan(CompileEvent{Func: 1, Level: 2}); return err },
-	}
-	for _, f := range edits { // the deltas size their own scratch once
-		if err := f(); err != nil {
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := eval.Run(sched, cfg, Options{}); err != nil {
 			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("warm Run allocates %v times per call, want 0", allocs)
 	}
-	for i, name := range []string{"Run", "UpgradedMakeSpan", "AppendedMakeSpan"} {
-		if allocs := testing.AllocsPerRun(20, func() {
-			if err := edits[i](); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("warm %s allocates %v times per call, want 0", name, allocs)
-		}
+
+	recorded := Options{RecordCalls: true}
+	want, err := refRun(tr, p, sched, cfg, recorded)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := eval.Run(sched, cfg, recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffResults(t, "RecordCalls", want, got)
 }
 
 // TestEvalStats sanity-checks the process-wide counters and their summary.
 func TestEvalStats(t *testing.T) {
 	before := ReadEvalStats()
-	tr, p, sched := deltaWorkload(t, 61)
+	tr, p, sched := evalWorkload(t, 61)
 	eval, err := NewEvaluator(tr, p)
 	if err != nil {
 		t.Fatal(err)
@@ -662,7 +476,7 @@ func TestEvalStats(t *testing.T) {
 	if after.Evaluators-before.Evaluators < 1 || after.Runs-before.Runs < 3 || after.WarmRuns-before.WarmRuns < 2 {
 		t.Errorf("counters did not advance as expected: before %+v after %+v", before, after)
 	}
-	if s := after.Summary(); !strings.Contains(s, "evaluators") || !strings.Contains(s, "delta evals") {
+	if s := after.Summary(); !strings.Contains(s, "evaluators") || !strings.Contains(s, "runs") {
 		t.Errorf("unexpected summary %q", s)
 	}
 }
@@ -705,26 +519,6 @@ func BenchmarkEvaluatorRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eval.Run(sched, DefaultConfig(), Options{RecordCalls: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvaluatorDelta measures incremental single-edit scoring against
-// the warm baseline.
-func BenchmarkEvaluatorDelta(b *testing.B) {
-	tr, p, sched := evalBenchWorkload(b)
-	eval, err := NewEvaluator(tr, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eval.Run(sched, DefaultConfig(), Options{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.UpgradedMakeSpan(i%len(sched), profile.Level(i%p.Levels)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -123,8 +123,8 @@ func (c *compiled) levelAt(f trace.FuncID, t int64) profile.Level {
 	return l
 }
 
-// execLoop is the one make-span kernel, behind Evaluator.Run, its delta
-// path, and PrefixSim: call k starts at the later of the exec clock and its
+// execLoop is the one make-span kernel, behind Evaluator.Run and
+// PrefixSim: call k starts at the later of the exec clock and its
 // function's first finished version, and runs at the latest version finished
 // by then. Before the compile end a version may land between two calls, so
 // each call takes the general step, which skips the version-list lookup once
