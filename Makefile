@@ -73,7 +73,8 @@ bench:
 # bytes-per-op (TestIARArenaAllocGuard gates both from the root BenchmarkIAR
 # path, TestIARArenaWarmAllocGuard the count in internal/core); the online
 # replanner's warm hot loop stays near zero allocations per call and its
-# planner at least 3x cheaper than from-scratch IAR on every replan
+# planner at least 3x cheaper than from-scratch IAR on every replan, in
+# per-thread CPU time so that other processes' load cannot skew the ratio
 # (TestOnlineObserveAllocGuard, TestOnlineReplanSpeedupGuard); and
 # branch-and-bound must prove
 # optimality on the 8-function study instance well inside DefaultMaxNodes. The tests assert the
@@ -89,14 +90,16 @@ bench:
 # under 200 allocations and 2 MB (building every scored child read ~112,000
 # and ~30 MB), and a Width of 1<<30 on three functions under 1 MB, so beam
 # buffers sized from Width instead of from the survivors fail
-# (TestBeamAllocGuard).
+# (TestBeamAllocGuard). IDA* on the six-function study instance must stay
+# under 1,000 allocations per run, so a search that allocates per node fails
+# (scoring each node from scratch read 390,557; TestIDAStarAllocGuard).
 bench-guard:
 	$(GO) test -run='TestDisabledRecorderZeroAlloc|TestRecorderDisabledZeroAlloc|TestEvaluatorZeroAlloc|TestEvaluatorPerCallBytes' -count=1 \
 		./internal/obs/ ./internal/sim/
 	$(GO) test -run='TestBnBWarmZeroAlloc|TestBnBWarmZeroAllocCancellable|TestBnBNodeBudgetGuard|TestBeamAllocGuard' -count=1 ./internal/astar/
 	$(GO) test -run='TestSolverWarmAllocs|TestSolveDeterminism' -count=1 ./internal/exact/
 	$(GO) test -run='TestIARArenaWarmAllocGuard' -count=1 ./internal/core/
-	$(GO) test -run='TestIARArenaAllocGuard|TestRunPolicyAllocGuard' -count=1 .
+	$(GO) test -run='TestIARArenaAllocGuard|TestRunPolicyAllocGuard|TestIDAStarAllocGuard' -count=1 .
 	$(GO) test -run='TestOnlineObserveAllocGuard|TestOnlineReplanSpeedupGuard' -count=1 ./internal/online/
 	$(GO) test -run='TestLoadPrefixAllocGuard' -count=1 ./internal/dacapo/
 	$(GO) test -run='^$$' -bench=BenchmarkRunCallsRecorder -benchtime=100x ./internal/sim/

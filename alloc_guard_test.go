@@ -9,8 +9,10 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/astar"
 	"repro/internal/core"
 	"repro/internal/dacapo"
+	"repro/internal/experiments"
 	"repro/internal/policy"
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -125,4 +127,30 @@ func TestRunPolicyAllocGuard(t *testing.T) {
 				tc.name, allocs, maxAllocsPerRun, len(res.Compiles))
 		})
 	}
+}
+
+// TestIDAStarAllocGuard is IDA*'s budget wired into `make bench-guard`: a
+// run on the six-function §6.2.5 study instance allocates only per run and
+// per deepening iteration — the search tables, the evaluator's version
+// lists and the best schedule — never per node, so it stays under 1,000
+// objects. Scoring each node from scratch (a version map and a trace replay
+// per node) read 390,557.
+func TestIDAStarAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full IDA* search")
+	}
+	const maxAllocsPerRun = 1000
+	tr, p := experiments.AStarInstance(6, 50, 6)
+	var res *astar.Result
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if res, err = astar.IDASearch(tr, p, astar.IDAOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocsPerRun {
+		t.Errorf("IDA* on 6 functions: %.0f allocs/run, budget %d", allocs, maxAllocsPerRun)
+	}
+	t.Logf("IDA* on 6 functions: %.0f allocs/run (budget %d), %d expansions",
+		allocs, maxAllocsPerRun, res.NodesExpanded)
 }

@@ -246,59 +246,6 @@ func (s *searcher) statuses(n *node) (next []profile.Level, missing int) {
 	return next, missing
 }
 
-// cost evaluates the paper's f(v) for a prefix: bubbles plus extra execution
-// accumulated within the prefix's compile span t(v). For a complete prefix
-// (every called function compiled), full == true evaluates the entire run,
-// making the cost exact; it then also returns the make-span.
-func (s *searcher) cost(prefix sim.Schedule, full bool) (g, makeSpan int64) {
-	p := s.p
-	// Single compile worker: finish times are prefix sums.
-	type version struct {
-		done  int64
-		level profile.Level
-	}
-	versions := make(map[trace.FuncID][]version, len(prefix))
-	var t int64
-	for _, ev := range prefix {
-		t += p.CompileTime(ev.Func, ev.Level)
-		versions[ev.Func] = append(versions[ev.Func], version{t, ev.Level})
-	}
-	span := t // t(v): when the prefix's compilations end
-
-	var execT, bubbles, extra int64
-	for _, f := range s.tr.Calls {
-		vs := versions[f]
-		if len(vs) == 0 {
-			// Blocked on a future compilation: everything up to t(v) is a
-			// known bubble; nothing beyond is attributable yet.
-			if span > execT {
-				bubbles += span - execT
-			}
-			return bubbles + extra, 0
-		}
-		start := execT
-		if vs[0].done > start {
-			start = vs[0].done
-		}
-		if !full && start >= span {
-			// The call starts outside the prefix window; its cost belongs
-			// to descendants.
-			return bubbles + extra, 0
-		}
-		bubbles += start - execT
-		level := vs[0].level
-		for _, v := range vs[1:] {
-			if v.done <= start {
-				level = v.level
-			}
-		}
-		dur := p.ExecTime(f, level)
-		extra += dur - s.bestE[f]
-		execT = start + dur
-	}
-	return bubbles + extra, execT
-}
-
 // children generates the nodes reachable from n per the Fig. 4 tree: any
 // called function may be compiled at any level not below its next allowed
 // level; a lower-level compilation never follows a higher one. The parent's
@@ -432,9 +379,13 @@ func ExhaustiveContext(ctx context.Context, tr *trace.Trace, p *profile.Profile,
 	var bestSpan int64
 
 	next := make([]profile.Level, p.NumFuncs())
+	missing := len(s.order) // functions of the trace not yet in the prefix
 	var prefix sim.Schedule
 
+	// dfs visits the node whose prefix the evaluator holds, with cursor
+	// cur; each child is pushed on descent and popped on return.
 	done := ctx.Done()
+	pe := s.pe
 	var dfs func(cur cursor) error
 	dfs = func(cur cursor) error {
 		if s.alloc++; s.alloc > s.budget {
@@ -443,18 +394,11 @@ func ExhaustiveContext(ctx context.Context, tr *trace.Trace, p *profile.Profile,
 		if s.alloc%cancelStride == 0 && cancelled(done) {
 			return cancelErr(ctx)
 		}
-		s.pe.Load(prefix)
-		if s.boundFrom(cur, s.pe.Span(), next) >= bestCost {
+		if s.boundFrom(cur, pe.Span(), next) >= bestCost {
 			return nil // admissible bound: no descendant can improve
 		}
-		missing := 0
-		for _, f := range s.order {
-			if next[f] == 0 {
-				missing++
-			}
-		}
 		if missing == 0 {
-			full, span := s.pe.Finish(cur)
+			full, span := pe.Finish(cur)
 			if full < bestCost {
 				bestCost = full
 				bestSched = prefix.Clone()
@@ -465,14 +409,21 @@ func ExhaustiveContext(ctx context.Context, tr *trace.Trace, p *profile.Profile,
 		for _, f := range s.order {
 			for l := next[f]; int(l) < p.Levels; l++ {
 				saved := next[f]
+				if saved == 0 {
+					missing--
+				}
 				next[f] = l + 1
 				ev := sim.CompileEvent{Func: f, Level: l}
-				s.pe.Load(prefix)
-				ccur, _ := s.pe.Advance(cur, ev)
+				ccur, _ := pe.Advance(cur, ev)
+				pe.Push(ev)
 				prefix = append(prefix, ev)
 				err := dfs(ccur)
 				prefix = prefix[:len(prefix)-1]
+				pe.Pop(ev)
 				next[f] = saved
+				if saved == 0 {
+					missing++
+				}
 				if err != nil {
 					return err
 				}

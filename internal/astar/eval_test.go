@@ -37,6 +37,61 @@ func randomPrefix(rng *rand.Rand, order []trace.FuncID, levels, depth int) sim.S
 	return prefix
 }
 
+// cost is the reference the searches' evaluator (ocsp.Eval) is diffed
+// against: the paper's f(v) for a prefix computed from scratch — bubbles
+// plus extra execution accumulated within the prefix's compile span t(v).
+// For a complete prefix (every called function compiled), full == true
+// evaluates the entire run, making the cost exact; it then also returns the
+// make-span.
+func (s *searcher) cost(prefix sim.Schedule, full bool) (g, makeSpan int64) {
+	p := s.p
+	// Single compile worker: finish times are prefix sums.
+	type version struct {
+		done  int64
+		level profile.Level
+	}
+	versions := make(map[trace.FuncID][]version, len(prefix))
+	var t int64
+	for _, ev := range prefix {
+		t += p.CompileTime(ev.Func, ev.Level)
+		versions[ev.Func] = append(versions[ev.Func], version{t, ev.Level})
+	}
+	span := t // t(v): when the prefix's compilations end
+
+	var execT, bubbles, extra int64
+	for _, f := range s.tr.Calls {
+		vs := versions[f]
+		if len(vs) == 0 {
+			// Blocked on a future compilation: everything up to t(v) is a
+			// known bubble; nothing beyond is attributable yet.
+			if span > execT {
+				bubbles += span - execT
+			}
+			return bubbles + extra, 0
+		}
+		start := execT
+		if vs[0].done > start {
+			start = vs[0].done
+		}
+		if !full && start >= span {
+			// The call starts outside the prefix window; its cost belongs
+			// to descendants.
+			return bubbles + extra, 0
+		}
+		bubbles += start - execT
+		level := vs[0].level
+		for _, v := range vs[1:] {
+			if v.done <= start {
+				level = v.level
+			}
+		}
+		dur := p.ExecTime(f, level)
+		extra += dur - s.bestE[f]
+		execT = start + dur
+	}
+	return bubbles + extra, execT
+}
+
 // TestCursorMatchesCost pins the incremental prefix evaluation to the
 // reference cost function: for randomized legal prefixes, the cursor chain
 // built by advance reproduces cost(prefix, false) at every step, and finish

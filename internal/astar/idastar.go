@@ -35,6 +35,12 @@ const DefaultMaxExpansions = 4 << 20
 // memory does not rescue the search, because the tree still grows
 // exponentially and IDA* pays for it in re-expansion time.
 //
+// The walk holds the current prefix in one evaluator (ocsp.Eval), as
+// Exhaustive and the exact oracle's DFS do: each child is scored by Advance
+// from its parent's cursor, pushed on descent and popped on return, so a
+// node costs the calls its event pulls into the window, not a replay of
+// the trace.
+//
 // Result.NodesExpanded counts expansions summed over all iterations;
 // Result.NodesAllocated reports the maximum path length (the entire memory
 // footprint).
@@ -66,6 +72,7 @@ func IDASearchContext(ctx context.Context, tr *trace.Trace, p *profile.Profile, 
 
 	const inf = int64(1)<<62 - 1
 	next := make([]profile.Level, p.NumFuncs())
+	missing := len(s.order) // functions of the trace not yet in the prefix
 	var prefix sim.Schedule
 	maxDepth := 0
 
@@ -79,10 +86,14 @@ func IDASearchContext(ctx context.Context, tr *trace.Trace, p *profile.Profile, 
 	// probe explores the subtree under the current prefix with cost bound
 	// `bound`, recording the cheapest complete schedule with cost <= bound
 	// and the smallest cost seen above the bound (for the next iteration).
-	// It returns an error only when the budget dies.
+	// The evaluator holds the prefix: cur and g are the node's cursor and
+	// cost, scored by its parent's Advance, and each child is pushed on
+	// descent and popped on return. It returns an error only when the
+	// budget dies.
 	done := ctx.Done()
-	var probe func(bound int64) error
-	probe = func(bound int64) error {
+	pe := s.pe
+	var probe func(cur cursor, g, bound int64) error
+	probe = func(cur cursor, g, bound int64) error {
 		if res.NodesExpanded++; res.NodesExpanded > budget {
 			return ErrTimeExhausted
 		}
@@ -92,21 +103,14 @@ func IDASearchContext(ctx context.Context, tr *trace.Trace, p *profile.Profile, 
 		if len(prefix) > maxDepth {
 			maxDepth = len(prefix)
 		}
-		g, _ := s.cost(prefix, false)
 		if g > bound {
 			if g < nextBound {
 				nextBound = g
 			}
 			return nil
 		}
-		missing := 0
-		for _, f := range s.order {
-			if next[f] == 0 {
-				missing++
-			}
-		}
 		if missing == 0 {
-			full, span := s.cost(prefix, true)
+			full, span := pe.Finish(cur)
 			switch {
 			case full <= bound && full < bestCost:
 				bestCost = full
@@ -122,11 +126,21 @@ func IDASearchContext(ctx context.Context, tr *trace.Trace, p *profile.Profile, 
 		for _, f := range s.order {
 			for l := next[f]; int(l) < p.Levels; l++ {
 				saved := next[f]
+				if saved == 0 {
+					missing--
+				}
 				next[f] = l + 1
-				prefix = append(prefix, sim.CompileEvent{Func: f, Level: l})
-				err := probe(bound)
+				ev := sim.CompileEvent{Func: f, Level: l}
+				ccur, cg := pe.Advance(cur, ev)
+				pe.Push(ev)
+				prefix = append(prefix, ev)
+				err := probe(ccur, cg, bound)
 				prefix = prefix[:len(prefix)-1]
+				pe.Pop(ev)
 				next[f] = saved
+				if saved == 0 {
+					missing++
+				}
 				if err != nil {
 					return err
 				}
@@ -145,7 +159,7 @@ func IDASearchContext(ctx context.Context, tr *trace.Trace, p *profile.Profile, 
 			return res, cancelErr(ctx)
 		}
 		nextBound = inf
-		if err := probe(bound); err != nil {
+		if err := probe(cursor{}, 0, bound); err != nil {
 			res.NodesAllocated = maxDepth
 			return res, err
 		}

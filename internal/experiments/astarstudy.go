@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/astar"
 	"repro/internal/exact"
@@ -56,7 +57,8 @@ type AStarOptions struct {
 	// every size up to ExactMaxFuncs, running under the documented
 	// frontierExactMaxNodes budget. Zero leaves the study untouched.
 	ExactMaxFuncs int
-	// Runner receives the per-size search jobs (runner.Shared() if nil).
+	// Runner receives the per-(size, algorithm) search jobs (runner.Shared()
+	// if nil).
 	Runner *runner.Runner
 }
 
@@ -65,9 +67,11 @@ type AStarOptions struct {
 // the tree, but the storage requirement explodes with the number of unique
 // methods; past roughly six, the budget (memory) runs out.
 //
-// Each unique-function count is one runner job (the searches dominate the
-// cost and are independent across sizes); the three rows a size produces
-// stay together so the A*/IDA* cross-check runs inside the job.
+// Each (size, algorithm) pair is one runner job, keyed by only what its row
+// depends on, so studies that share rows — the classic trio under every
+// option set, the bnb rows with and without exact — compute each once per
+// runner and take the repeats from its cache. The make-span cross-checks
+// between the optimal searches run once every row is in.
 func AStarStudy(opts AStarOptions) ([]AStarRow, error) {
 	if opts.MinFuncs == 0 {
 		opts.MinFuncs = 3
@@ -82,185 +86,125 @@ func AStarStudy(opts AStarOptions) ([]AStarRow, error) {
 		return nil, errors.New("experiments: invalid A* study function range")
 	}
 
-	top := opts.MaxFuncs
-	if opts.BnBMaxFuncs > top {
-		top = opts.BnBMaxFuncs
-	}
-	if opts.ExactMaxFuncs > top {
-		top = opts.ExactMaxFuncs
-	}
-	jobs := make([]runner.Job[[]AStarRow], 0, top-opts.MinFuncs+1)
-	for nf := opts.MinFuncs; nf <= top; nf++ {
-		nf := nf
-		detail := fmt.Sprintf("nf=%d calls=%d maxnodes=%d", nf, opts.Calls, opts.MaxNodes)
-		if opts.BnBMaxFuncs > 0 {
-			// The bnb rows change a job's value, so they must change its
-			// cache key too.
-			detail += fmt.Sprintf(" bnb=%d", opts.BnBMaxFuncs)
+	top := max(opts.MaxFuncs, opts.BnBMaxFuncs, opts.ExactMaxFuncs)
+	var jobs []runner.Job[AStarRow]
+	add := func(nf int, algo string, maxNodes bool) {
+		detail := fmt.Sprintf("nf=%d calls=%d", nf, opts.Calls)
+		if maxNodes {
+			detail += fmt.Sprintf(" maxnodes=%d", opts.MaxNodes)
 		}
-		if opts.ExactMaxFuncs > 0 {
-			// Likewise for the exact rows; the marker is absent when the
-			// option is off, so historical cache keys are untouched.
-			detail += fmt.Sprintf(" exact=%d", opts.ExactMaxFuncs)
-		}
-		jobs = append(jobs, runner.Job[[]AStarRow]{
-			Key: runner.Key{
-				Experiment: "astar feasibility",
-				Seed:       opts.Seed,
-				Detail:     detail,
+		jobs = append(jobs, runner.Job[AStarRow]{
+			Key: runner.Key{Experiment: "astar feasibility", Scheme: algo, Seed: opts.Seed, Detail: detail},
+			Fn: func(_ runner.Ctx) (AStarRow, error) {
+				tr, p := AStarInstance(nf, opts.Calls, opts.Seed+int64(nf))
+				return aStarRow(tr, p, algo, opts.MaxNodes)
 			},
-			Fn: func(_ runner.Ctx) ([]AStarRow, error) { return aStarSize(opts, nf) },
 		})
+	}
+	for nf := opts.MinFuncs; nf <= top; nf++ {
+		if nf <= opts.MaxFuncs {
+			add(nf, "A*", true)
+			add(nf, "IDA*", false)
+			add(nf, "beam-256", false)
+		}
+		if opts.BnBMaxFuncs > 0 && nf <= opts.BnBMaxFuncs {
+			add(nf, "bnb", true)
+		}
+		if opts.ExactMaxFuncs > 0 && nf <= opts.ExactMaxFuncs {
+			add(nf, "exact", false)
+		}
 	}
 	eng := opts.Runner
 	if eng == nil {
 		eng = runner.Shared()
 	}
-	perSize, err := runner.Map(eng, jobs)
+	rows, err := runner.Map(eng, jobs)
 	if err != nil {
 		return nil, err
 	}
-	var rows []AStarRow
-	for _, rs := range perSize {
-		rows = append(rows, rs...)
+	// Every optimal search that finished must agree with those before it
+	// at its size: IDA* with A*, bnb with both, and the exact oracle with
+	// all three.
+	for i, row := range rows {
+		var peers []string
+		switch row.Algo {
+		case "IDA*":
+			peers = []string{"A*"}
+		case "bnb":
+			peers = []string{"A*", "IDA*"}
+		case "exact":
+			peers = []string{"A*", "IDA*", "bnb"}
+		}
+		for _, r := range rows[:i] {
+			if r.UniqueFuncs == row.UniqueFuncs && slices.Contains(peers, r.Algo) &&
+				r.Completed && row.Completed && r.MakeSpan != row.MakeSpan {
+				return nil, fmt.Errorf("experiments: %s and %s disagree at %d functions (%d vs %d)",
+					r.Algo, row.Algo, row.UniqueFuncs, r.MakeSpan, row.MakeSpan)
+			}
+		}
 	}
 	return rows, nil
 }
 
-// aStarSize runs the search variants on one instance size: the classic trio
-// (A*, IDA*, beam) up to MaxFuncs, plus a branch-and-bound row when the size
-// is within BnBMaxFuncs.
-func aStarSize(opts AStarOptions, nf int) ([]AStarRow, error) {
-	var rows []AStarRow
-	tr, p := AStarInstance(nf, opts.Calls, opts.Seed+int64(nf))
-	if nf <= opts.MaxFuncs {
-		res, err := astar.Search(tr, p, astar.Options{MaxNodes: opts.MaxNodes})
-		row := AStarRow{
-			Algo:           "A*",
-			UniqueFuncs:    nf,
-			Calls:          tr.Len(),
-			NodesExpanded:  res.NodesExpanded,
-			NodesAllocated: res.NodesAllocated,
-			PathsTotal:     res.PathsTotal,
-		}
-		switch {
-		case err == nil:
-			row.Completed = res.Complete
-			row.MakeSpan = res.MakeSpan
-		case errors.Is(err, astar.ErrBudgetExhausted):
-			row.Completed = false
-		default:
-			return nil, err
-		}
-		rows = append(rows, row)
-
+// aStarRow runs one search on one instance: A* and bnb under the node
+// budget, IDA* under its expansion budget, beam at its default width, and
+// the exact oracle under frontierExactMaxNodes. A search that runs out of
+// budget yields an incomplete row with its counters; any other failure is
+// an error.
+func aStarRow(tr *trace.Trace, p *profile.Profile, algo string, maxNodes int) (AStarRow, error) {
+	row := AStarRow{Algo: algo, UniqueFuncs: p.NumFuncs(), Calls: tr.Len()}
+	var (
+		res       *astar.Result
+		err       error
+		exhausted error
+	)
+	switch algo {
+	case "A*":
+		res, err = astar.Search(tr, p, astar.Options{MaxNodes: maxNodes})
+		exhausted = astar.ErrBudgetExhausted
+	case "IDA*":
 		// The IDA* extension: memory bounded by the path, so the budget is
 		// expansions (time). It hits the same exponential wall.
-		ires, err := astar.IDASearch(tr, p, astar.IDAOptions{})
-		irow := AStarRow{
-			Algo:           "IDA*",
-			UniqueFuncs:    nf,
-			Calls:          tr.Len(),
-			NodesExpanded:  ires.NodesExpanded,
-			NodesAllocated: ires.NodesAllocated,
-			PathsTotal:     ires.PathsTotal,
-		}
-		switch {
-		case err == nil:
-			irow.Completed = ires.Complete
-			irow.MakeSpan = ires.MakeSpan
-		case errors.Is(err, astar.ErrTimeExhausted):
-			irow.Completed = false
-		default:
-			return nil, err
-		}
-		if row.Completed && irow.Completed && row.MakeSpan != irow.MakeSpan {
-			return nil, fmt.Errorf("experiments: A* and IDA* disagree at %d functions (%d vs %d)",
-				nf, row.MakeSpan, irow.MakeSpan)
-		}
-		rows = append(rows, irow)
-
+		res, err = astar.IDASearch(tr, p, astar.IDAOptions{})
+		exhausted = astar.ErrTimeExhausted
+	case "beam-256":
 		// Beam search abandons optimality for a width-bounded budget: it
-		// returns a (possibly suboptimal) schedule at every size.
-		bres, err := astar.BeamSearch(tr, p, astar.BeamOptions{})
+		// returns a (possibly suboptimal) schedule at every size and never
+		// proves it optimal.
+		res, err = astar.BeamSearch(tr, p, astar.BeamOptions{})
 		if err != nil {
-			return nil, err
+			return row, err
 		}
-		rows = append(rows, AStarRow{
-			Algo:           "beam-256",
-			UniqueFuncs:    nf,
-			Calls:          tr.Len(),
-			Completed:      false, // never proves optimality
-			NodesExpanded:  bres.NodesExpanded,
-			NodesAllocated: bres.NodesAllocated,
-			PathsTotal:     bres.PathsTotal,
-			MakeSpan:       bres.MakeSpan,
-		})
-	}
-	if opts.BnBMaxFuncs > 0 && nf <= opts.BnBMaxFuncs {
-		res, err := astar.BnBSearch(tr, p, astar.BnBOptions{MaxNodes: opts.MaxNodes})
-		row := AStarRow{
-			Algo:           "bnb",
-			UniqueFuncs:    nf,
-			Calls:          tr.Len(),
-			NodesExpanded:  res.NodesExpanded,
-			NodesAllocated: res.NodesAllocated,
-			PathsTotal:     res.PathsTotal,
-			TableHits:      res.TableHits,
-			BoundPruned:    res.BoundPruned,
+		row.NodesExpanded, row.NodesAllocated, row.PathsTotal = res.NodesExpanded, res.NodesAllocated, res.PathsTotal
+		row.MakeSpan = res.MakeSpan
+		return row, nil
+	case "bnb":
+		res, err = astar.BnBSearch(tr, p, astar.BnBOptions{MaxNodes: maxNodes})
+		exhausted = astar.ErrBudgetExhausted
+	case "exact":
+		xres, xerr := exact.Solve(tr, p, exact.Options{MaxNodes: frontierExactMaxNodes})
+		if xerr != nil && !errors.Is(xerr, exact.ErrBudgetExhausted) {
+			return row, xerr
 		}
-		switch {
-		case err == nil:
-			row.Completed = res.Complete
-			row.MakeSpan = res.MakeSpan
-		case errors.Is(err, astar.ErrBudgetExhausted):
-			row.Completed = false
-		default:
-			return nil, err
-		}
-		// Cross-check against whichever exact search also finished.
-		for _, r := range rows {
-			if (r.Algo == "A*" || r.Algo == "IDA*") && r.Completed && row.Completed &&
-				r.MakeSpan != row.MakeSpan {
-				return nil, fmt.Errorf("experiments: %s and bnb disagree at %d functions (%d vs %d)",
-					r.Algo, nf, r.MakeSpan, row.MakeSpan)
-			}
-		}
-		rows = append(rows, row)
-	}
-	if opts.ExactMaxFuncs > 0 && nf <= opts.ExactMaxFuncs {
-		res, err := exact.Solve(tr, p, exact.Options{MaxNodes: frontierExactMaxNodes})
-		row := AStarRow{
-			Algo:        "exact",
-			UniqueFuncs: nf,
-			Calls:       tr.Len(),
-		}
-		switch {
-		case err == nil:
-			row.Completed = res.Complete
-			row.MakeSpan = res.MakeSpan
-		case errors.Is(err, exact.ErrBudgetExhausted):
-			row.Completed = false
-		default:
-			return nil, err
+		if xerr == nil {
+			row.Completed, row.MakeSpan = xres.Complete, xres.MakeSpan
 		}
 		// A failed solve still reports its counters.
-		row.NodesExpanded = res.NodesExpanded
-		row.NodesAllocated = res.NodesAllocated
-		row.PathsTotal = res.PathsTotal
-		row.TableHits = res.TableHits
-		row.BoundPruned = res.BoundPruned
-		// The oracle must agree with every optimal search that finished.
-		for _, r := range rows {
-			if (r.Algo == "A*" || r.Algo == "IDA*" || r.Algo == "bnb") && r.Completed && row.Completed &&
-				r.MakeSpan != row.MakeSpan {
-				return nil, fmt.Errorf("experiments: %s and exact disagree at %d functions (%d vs %d)",
-					r.Algo, nf, r.MakeSpan, row.MakeSpan)
-			}
-		}
-		rows = append(rows, row)
+		row.NodesExpanded, row.NodesAllocated, row.PathsTotal = xres.NodesExpanded, xres.NodesAllocated, xres.PathsTotal
+		row.TableHits, row.BoundPruned = xres.TableHits, xres.BoundPruned
+		return row, nil
+	default:
+		return row, fmt.Errorf("experiments: unknown A* study algorithm %q", algo)
 	}
-	return rows, nil
+	if err != nil && !errors.Is(err, exhausted) {
+		return row, err
+	}
+	row.NodesExpanded, row.NodesAllocated, row.PathsTotal = res.NodesExpanded, res.NodesAllocated, res.PathsTotal
+	row.TableHits, row.BoundPruned = res.TableHits, res.BoundPruned
+	if err == nil {
+		row.Completed, row.MakeSpan = res.Complete, res.MakeSpan
+	}
+	return row, nil
 }
 
 // frontierExactMaxNodes is the documented node budget for the study's exact

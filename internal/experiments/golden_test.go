@@ -132,7 +132,7 @@ func TestGoldenAStarBnB(t *testing.T) {
 // unique functions next to the bnb rows. Twelve is certified under the
 // documented frontierExactMaxNodes budget, thirteen exposes the current
 // wall, fourteen certifies again — the frontier is instance-shaped, not
-// monotone in size. The in-job cross-checks of aStarSize double as the
+// monotone in size. The cross-checks at the end of AStarStudy double as the
 // oracle-agreement gate for every completed A*/IDA*/bnb row.
 func TestGoldenAStarExact(t *testing.T) {
 	if testing.Short() {

@@ -110,7 +110,9 @@ func BenchmarkOnlineLongStream(b *testing.B) {
 }
 
 // BenchmarkOnlineSchedulers compares the three schedulers at one bounded
-// window, the cost of a decision step being the interesting number.
+// window, the cost of a decision step being the interesting number. "none"
+// commits nothing, so every function is compiled by the forced fallback and
+// the op is the engine's own per-call cost.
 func BenchmarkOnlineSchedulers(b *testing.B) {
 	tr, p, err := benchSpec().Render()
 	if err != nil {
@@ -126,8 +128,11 @@ func BenchmarkOnlineSchedulers(b *testing.B) {
 		"sampled": func() (online.Scheduler, error) {
 			return online.NewSampled(p, nil, 100)
 		},
+		"none": func() (online.Scheduler, error) {
+			return nullScheduler{}, nil
+		},
 	}
-	for _, name := range []string{"iar", "v8", "sampled"} {
+	for _, name := range []string{"iar", "v8", "sampled", "none"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sched, err := mk[name]()

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/online"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -59,9 +60,13 @@ func TestOnlineObserveAllocGuard(t *testing.T) {
 
 // TestOnlineReplanSpeedupGuard holds the incremental replanner to a minimum
 // scheduler-side advantage over the from-scratch reference on a moderate
-// stream: at least 3x less wall time spent replanning (best of three tries,
-// to ride out scheduler noise). This is the enforceable floor under the
-// BenchmarkOnlineLongStream replan-speedup metric.
+// stream: at least 3x less time spent replanning (best of three tries).
+// This is the enforceable floor under the BenchmarkOnlineLongStream
+// replan-speedup metric. The time is the CPU time of the test's own OS
+// thread, summed over the Observe calls that replan, with the goroutine
+// locked to the thread: the wall time it read before also counted the
+// spans in which other processes held the CPU, so a loaded machine —
+// another package's tests — could push the ratio under the floor.
 func TestOnlineReplanSpeedupGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup guard runs the quadratic reference")
@@ -82,27 +87,30 @@ func TestOnlineReplanSpeedupGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	const minSpeedup = 3.0
 	best := 0.0
 	for try := 0; try < 3; try++ {
-		inc := online.NewIAR(p, core.IAROptions{}, 0)
+		inc := &cpuTimed{inner: online.NewIAR(p, core.IAROptions{}, 0)}
 		if _, err := online.Run(tr, p, inc, online.Options{Window: 4096}); err != nil {
 			t.Fatal(err)
 		}
-		ref := newIARFromScratch(p, core.IAROptions{}, 0)
+		ref := &cpuTimed{inner: newIARFromScratch(p, core.IAROptions{}, 0)}
 		if _, err := online.Run(tr, p, ref, online.Options{Window: 4096}); err != nil {
 			t.Fatal(err)
 		}
-		is, rs := inc.SchedStats(), ref.SchedStats()
+		is, rs := inc.inner.SchedStats(), ref.inner.SchedStats()
 		if is.Replans != rs.Replans {
 			t.Fatalf("try %d: %d replans vs reference's %d", try, is.Replans, rs.Replans)
 		}
 		if is.DirtySkips == 0 {
 			t.Fatalf("try %d: warm-start fast path never fired across %d replans", try, is.Replans)
 		}
-		if s := float64(rs.SchedNanos) / float64(is.SchedNanos); s > best {
-			best = s
-		}
+		s := float64(ref.nanos) / float64(inc.nanos)
+		t.Logf("try %d: %d replans, thread CPU %.1f ms incremental vs %.1f ms from scratch: %.2fx",
+			try, is.Replans, float64(inc.nanos)/1e6, float64(ref.nanos)/1e6, s)
+		best = max(best, s)
 		if best >= minSpeedup {
 			break
 		}
@@ -110,4 +118,24 @@ func TestOnlineReplanSpeedupGuard(t *testing.T) {
 	if best < minSpeedup {
 		t.Errorf("incremental replanning is only %.2fx faster than from-scratch, floor is %.1fx", best, minSpeedup)
 	}
+}
+
+// cpuTimed wraps a replanning scheduler and sums the calling thread's CPU
+// time over the Observe calls that replanned.
+type cpuTimed struct {
+	inner interface {
+		online.Scheduler
+		online.StatsReporter
+	}
+	nanos int64
+}
+
+func (c *cpuTimed) Observe(i int, visible *trace.Trace, now int64) ([]sim.CompileEvent, error) {
+	before := c.inner.SchedStats().Replans
+	t0 := threadCPUNanos()
+	out, err := c.inner.Observe(i, visible, now)
+	if dt := threadCPUNanos() - t0; c.inner.SchedStats().Replans > before {
+		c.nanos += dt
+	}
+	return out, err
 }

@@ -6,18 +6,20 @@
 //
 // # Commitment model
 //
-// The engine replays the trace call by call under exactly the timing model
-// of internal/sim (one execution worker, W >= 1 compile workers, bubbles
-// while execution waits for code). Before each call i it shows the
-// scheduler the visible prefix — the first min(i+window, N) calls, i.e.
-// everything executed so far plus the next window-1 future calls — and the
-// current simulated time. Whatever compile events the scheduler returns are
-// committed immediately: each is assigned to the earliest-free compile
-// worker with its arrival at the current time, and can never be revoked or
-// reordered. Commitments are monotone per function: an event at or below
-// the function's highest committed level is dropped (it could only build a
-// version that "latest finished at or before t" lookups would use to
-// downgrade later calls).
+// The engine replays the trace call by call on internal/sim's make-span
+// kernel (one execution worker, W >= 1 compile workers, bubbles while
+// execution waits for code): a sim.PrefixSim takes each commit with
+// AppendCompileAt at the exec clock and each call as one ExecCall step, so
+// the timing model is sim's own rather than a copy. Before each call i it
+// shows the scheduler the visible prefix — the first min(i+window, N)
+// calls, i.e. everything executed so far plus the next window-1 future
+// calls — and the current simulated time. Whatever compile events the
+// scheduler returns are committed immediately: each is assigned to the
+// earliest-free compile worker with its arrival at the current time, and
+// can never be revoked or reordered. Commitments are monotone per
+// function: an event at or below the function's highest committed level is
+// dropped (it could only build a version that "latest finished at or
+// before t" lookups would use to downgrade later calls).
 //
 // With window = 0 (unbounded), the scheduler sees the whole trace before
 // the first call and time is still zero, so every commitment lands exactly
@@ -33,6 +35,7 @@ package online
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -100,64 +103,6 @@ func Regret(online, offline int64) float64 {
 	return 100 * float64(online-offline) / float64(offline)
 }
 
-// versionList mirrors internal/sim's: one function's finished compilations
-// ordered by finish time, for "latest finished at or before t" lookups.
-type versionList struct {
-	done   []int64
-	levels []profile.Level
-}
-
-func (v *versionList) insert(done int64, l profile.Level) {
-	i := len(v.done)
-	for i > 0 && v.done[i-1] > done {
-		i--
-	}
-	v.done = append(v.done, 0)
-	v.levels = append(v.levels, 0)
-	copy(v.done[i+1:], v.done[i:])
-	copy(v.levels[i+1:], v.levels[i:])
-	v.done[i] = done
-	v.levels[i] = l
-}
-
-func (v *versionList) latestAt(t int64) (profile.Level, bool) {
-	for i := len(v.done) - 1; i >= 0; i-- {
-		if v.done[i] <= t {
-			return v.levels[i], true
-		}
-	}
-	return 0, false
-}
-
-func (v *versionList) firstReady() int64 {
-	if len(v.done) == 0 {
-		return -1
-	}
-	return v.done[0]
-}
-
-// workerPool assigns compile jobs to the earliest-free of w workers,
-// exactly as internal/sim does.
-type workerPool struct {
-	free []int64
-}
-
-func (p *workerPool) assign(arrival, duration int64) (int, int64, int64) {
-	best := 0
-	for i, f := range p.free {
-		if f < p.free[best] {
-			best = i
-		}
-	}
-	start := p.free[best]
-	if arrival > start {
-		start = arrival
-	}
-	done := start + duration
-	p.free[best] = done
-	return best, start, done
-}
-
 func interrupted(done <-chan struct{}) bool {
 	select {
 	case <-done:
@@ -166,6 +111,10 @@ func interrupted(done <-chan struct{}) bool {
 		return false
 	}
 }
+
+// simPool recycles the simulators behind Run, so that warm arenas survive
+// across runs process-wide.
+var simPool = sync.Pool{New: func() any { return new(sim.PrefixSim) }}
 
 // Run replays the trace under the online commitment model.
 func Run(tr *trace.Trace, p *profile.Profile, sched Scheduler, opts Options) (*Result, error) {
@@ -187,6 +136,11 @@ func Run(tr *trace.Trace, p *profile.Profile, sched Scheduler, opts Options) (*R
 	}
 
 	nf := p.NumFuncs()
+	ps := simPool.Get().(*sim.PrefixSim)
+	defer simPool.Put(ps)
+	if err := ps.Rebind(p, cfg); err != nil {
+		return nil, fmt.Errorf("online: %w", err)
+	}
 	res := &Result{
 		Sim:    &sim.Result{FirstReady: make([]int64, nf)},
 		Window: opts.Window,
@@ -195,25 +149,24 @@ func Run(tr *trace.Trace, p *profile.Profile, sched Scheduler, opts Options) (*R
 		res.Sim.CallStarts = make([]int64, 0, tr.Len())
 		res.Sim.CallLevels = make([]profile.Level, 0, tr.Len())
 	}
-	versions := make([]versionList, nf)
-	pool := &workerPool{free: make([]int64, cfg.CompileWorkers)}
 	committed := make([]profile.Level, nf)
 	for i := range committed {
 		committed[i] = -1
 	}
 
-	// commit irrevocably assigns one compile event at the given time.
-	commit := func(ev sim.CompileEvent, now int64) {
-		w, start, done := pool.assign(now, p.CompileTime(ev.Func, ev.Level))
-		res.Sim.Compiles = append(res.Sim.Compiles,
-			sim.CompileRecord{Event: ev, Start: start, Done: done, Worker: w})
-		versions[ev.Func].insert(done, ev.Level)
-		res.Sim.CompileBusy += done - start
-		if done > res.Sim.CompileEnd {
-			res.Sim.CompileEnd = done
+	// commit irrevocably appends one compile event arriving at the exec
+	// clock. It finishes at or after the clock, so PrefixSim's history
+	// check never fires.
+	commit := func(ev sim.CompileEvent, now int64) error {
+		rec, err := ps.AppendCompileAt(ev, now)
+		if err != nil {
+			return fmt.Errorf("online: %w", err)
 		}
+		res.Sim.Compiles = append(res.Sim.Compiles, rec)
+		res.Sim.CompileBusy += rec.Done - rec.Start
 		committed[ev.Func] = ev.Level
 		res.Schedule = append(res.Schedule, ev)
+		return nil
 	}
 
 	intr := opts.Interrupt
@@ -226,7 +179,6 @@ func Run(tr *trace.Trace, p *profile.Profile, sched Scheduler, opts Options) (*R
 	// already forbids retaining the visible trace across calls, which is
 	// exactly the cursor view's validity window.
 	cursor := trace.NewPrefix(tr)
-	var execT int64
 	for i, f := range tr.Calls {
 		if intr != nil && i%interruptStride == 0 && interrupted(intr) {
 			return nil, sim.ErrInterrupted
@@ -238,6 +190,7 @@ func Run(tr *trace.Trace, p *profile.Profile, sched Scheduler, opts Options) (*R
 		if err := cursor.Extend(hi); err != nil {
 			return nil, fmt.Errorf("online: %w", err)
 		}
+		execT := ps.MakeSpan()
 		events, err := sched.Observe(i, cursor.Trace(), execT)
 		if err != nil {
 			return nil, fmt.Errorf("online: scheduler at call %d: %w", i, err)
@@ -253,38 +206,33 @@ func Run(tr *trace.Trace, p *profile.Profile, sched Scheduler, opts Options) (*R
 				res.Dropped++
 				continue
 			}
-			commit(ev, execT)
+			if err := commit(ev, execT); err != nil {
+				return nil, err
+			}
 		}
-		if versions[f].firstReady() < 0 {
+		if ps.FirstReady(f) < 0 {
 			// On-demand fallback: nothing of f was ever committed, and the
 			// executor is about to block on it forever.
-			commit(sim.CompileEvent{Func: f, Level: 0}, execT)
+			if err := commit(sim.CompileEvent{Func: f, Level: 0}, execT); err != nil {
+				return nil, err
+			}
 			res.Forced++
 		}
-
-		start := execT
-		if ready := versions[f].firstReady(); ready > start {
-			start = ready
+		start, err := ps.ExecCall(f)
+		if err != nil {
+			return nil, fmt.Errorf("online: %w", err)
 		}
-		if start > execT {
-			res.Sim.TotalBubble += start - execT
-			res.Sim.BubbleCount++
-		}
-		level, ok := versions[f].latestAt(start)
-		if !ok {
-			return nil, fmt.Errorf("online: internal: no ready version of function %d at time %d", f, start)
-		}
-		dur := p.ExecTime(f, level)
 		if opts.RecordCalls {
 			res.Sim.CallStarts = append(res.Sim.CallStarts, start)
-			res.Sim.CallLevels = append(res.Sim.CallLevels, level)
+			res.Sim.CallLevels = append(res.Sim.CallLevels, ps.LevelAt(f, start))
 		}
-		res.Sim.TotalExec += dur
-		execT = start + dur
 	}
-	res.Sim.MakeSpan = execT
-	for f := range versions {
-		res.Sim.FirstReady[f] = versions[f].firstReady()
+	res.Sim.MakeSpan = ps.MakeSpan()
+	res.Sim.TotalBubble, res.Sim.BubbleCount = ps.Bubble()
+	res.Sim.TotalExec = res.Sim.MakeSpan - res.Sim.TotalBubble
+	res.Sim.CompileEnd = ps.CompileEnd()
+	for f := range res.Sim.FirstReady {
+		res.Sim.FirstReady[f] = ps.FirstReady(trace.FuncID(f))
 	}
 	if opts.Metrics != nil {
 		opts.Metrics.OnlineRun(int64(len(res.Schedule)), int64(res.Forced))

@@ -11,11 +11,13 @@ import (
 // PrefixSim is a resumable simulation of a growing instance: compile events
 // may be appended to the schedule tail and calls appended to the executed
 // trace, in any interleaving, and the simulation advances by exactly the new
-// work instead of replaying from time zero. It is IAR's simulator
-// (core.IARPlanner): the planner's per-stride state — the init schedule
-// following a growing visible prefix, the step-2/step-3 schedules
-// re-evaluated over ever more calls — is append-only between plan rebuilds,
-// so each online replan costs O(new calls) rather than O(prefix).
+// work instead of replaying from time zero. It is the online engine's
+// simulator — online.Run commits each event at the exec clock and runs each
+// call as one ExecCall step — and IAR's (core.IARPlanner): the planner's
+// per-stride state — the init schedule following a growing visible prefix,
+// the step-2/step-3 schedules re-evaluated over ever more calls — is
+// append-only between plan rebuilds, so each online replan costs O(new
+// calls) rather than O(prefix).
 //
 // A plan rebuild replays a schedule over the whole prefix in two parts.
 // The head — the calls that start before the compile end — runs call by
@@ -32,11 +34,17 @@ import (
 //
 // A PrefixSim that has appended compile events e1..eM (in that order) and
 // executed calls c1..cN reports exactly what Evaluator.Run / sim.Run report
-// for the static schedule [e1..eM] over the trace [c1..cN] (no arrival
-// times, no variation, no recorder): the same call starts, the same
-// make-span, the same compile-finish times, tick for tick — whether the
-// calls ran through ExecCalls and ExecHead or were counted by
-// AdvanceSettled. The differential tests in prefixsim_test.go pin this. The
+// for the static schedule [e1..eM] over the trace [c1..cN] (no variation, no
+// recorder): the same call starts, the same make-span, bubbles and stalls,
+// the same compile records, tick for tick — whether the calls ran through
+// ExecCall, ExecCalls and ExecHead or were counted by AdvanceSettled. That holds as
+// stated when every event arrives at time zero (AppendCompile), the static
+// simulators' setting. With arrival times (AppendCompileAt) it is the same
+// model with each event starting no earlier than its arrival — a compile
+// goes to the earliest-free worker and starts at the later of that worker's
+// free time and its arrival — which is how online.Run commits events at the
+// exec clock. The differential tests in prefixsim_test.go pin the static
+// case and internal/online's reference test the arrival case. The
 // simulator keeps no per-call state: ExecCalls and ExecHead append the
 // starts of the calls they execute to a buffer the caller owns, so a caller
 // that needs only the newest starts, or runs several simulators one after
@@ -47,25 +55,30 @@ import (
 // compile event appended after some calls have executed is only admitted
 // when no executed call could have used it — its function has never executed
 // (the replanner's case: a function newly revealed by the stream), or its
-// finish time is at or past the execution clock. AppendCompile rejects the
+// finish time is at or past the execution clock (always so for an event
+// arriving at the clock, online.Run's case). AppendCompileAt rejects the
 // one shape that would diverge (an already-executed function's event
 // finishing in the past) instead of silently producing a non-replayable
 // state.
 //
 // A PrefixSim is not safe for concurrent use. On any returned error other
-// than AppendCompile's, AdvanceSettled's and TailStarts' (which leave the
+// than AppendCompileAt's, AdvanceSettled's and TailStarts' (which leave the
 // state untouched) the simulation is mid-step and must be Reset before
 // reuse.
 type PrefixSim struct {
-	own    tables  // the profile as Rebind flattened it
-	t      *tables // &own, or the shared table of RebindShared's source
-	c      compiled
-	pool   workerPool
-	dones  []int64
-	calls  int   // calls executed
-	execT  int64 // the end of the last executed call
+	own   tables  // the profile as Rebind flattened it
+	t     *tables // &own, or the shared table of RebindShared's source
+	c     compiled
+	pool  workerPool
+	dones []int64
+	calls int // calls executed
+	// x is the kernel's state between steps: the exec clock (the end of
+	// the last executed call) and the executed calls' bubble total and
+	// stall count.
+	x      execLoop
 	called []bool
-	col    []int64 // TailStarts' settled exec times; -1 for an uncompiled function
+	col    []int64  // TailStarts' settled exec times; -1 for an uncompiled function
+	start  [1]int64 // ExecCall's start
 }
 
 // NewPrefixSim builds a resumable simulator for the profile under the given
@@ -115,6 +128,7 @@ func (s *PrefixSim) RebindShared(src *PrefixSim, cfg Config) error {
 // bind points the simulator at a loaded table and resets it.
 func (s *PrefixSim) bind(t *tables, cfg Config) {
 	s.t = t
+	s.x = execLoop{c: &s.c, t: t}
 	s.pool.reset(cfg.CompileWorkers)
 	s.called = growN(s.called, t.nf)
 	s.Reset()
@@ -128,16 +142,34 @@ func (s *PrefixSim) Reset() {
 	clear(s.pool.free)
 	clear(s.called)
 	s.dones = s.dones[:0]
-	s.calls, s.execT = 0, 0
+	s.calls = 0
+	s.x.execT, s.x.bubble, s.x.stalls = 0, 0, 0
 }
 
-// AppendCompile appends one compile event at the schedule tail, assigning it
-// to the earliest-free worker with arrival time zero, exactly as the static
-// simulators do, and updates the function's settled-table row in O(1). It
-// rejects out-of-range events and — see the exactness contract — an event
-// for an already-executed function that would have finished before the
+// AppendCompile is AppendCompileAt with arrival time zero, the static
+// simulators' setting, without the record.
+func (s *PrefixSim) AppendCompile(ev CompileEvent) error { return s.appendAt(ev, 0) }
+
+// AppendCompileAt appends one compile event at the schedule tail, arriving
+// at the given time: it goes to the earliest-free worker and starts at the
+// later of that worker's free time and its arrival. It updates the
+// function's settled-table row in O(1) and returns the event's compile
+// record. It rejects out-of-range events and — see the exactness contract —
+// an event for an already-executed function that would finish before the
 // current execution clock. On error the state is unchanged.
-func (s *PrefixSim) AppendCompile(ev CompileEvent) error {
+func (s *PrefixSim) AppendCompileAt(ev CompileEvent, arrival int64) (CompileRecord, error) {
+	// The worker appendAt picks is the one earliest free now.
+	w, free := s.pool.earliest()
+	if err := s.appendAt(ev, arrival); err != nil {
+		return CompileRecord{}, err
+	}
+	return CompileRecord{Event: ev, Start: max(free, arrival), Done: s.dones[len(s.dones)-1], Worker: w}, nil
+}
+
+// appendAt is AppendCompileAt without the record. Returning only the error
+// keeps the planner's append path, AppendCompile, as cheap as it was before
+// arrivals.
+func (s *PrefixSim) appendAt(ev CompileEvent, arrival int64) error {
 	if ev.Func < 0 || int(ev.Func) >= s.t.nf {
 		return fmt.Errorf("sim: prefix schedule event references unknown function %d", ev.Func)
 	}
@@ -145,10 +177,10 @@ func (s *PrefixSim) AppendCompile(ev CompileEvent) error {
 		return fmt.Errorf("sim: prefix schedule event uses level %d outside [0,%d)", ev.Level, s.t.levels)
 	}
 	best, free := s.pool.earliest()
-	done := free + s.t.compile(ev.Func, ev.Level)
-	if s.called[ev.Func] && done < s.execT {
+	done := max(free, arrival) + s.t.compile(ev.Func, ev.Level)
+	if s.called[ev.Func] && done < s.x.execT {
 		return fmt.Errorf("sim: prefix append of function %d finishing at %d would rewrite history before exec clock %d",
-			ev.Func, done, s.execT)
+			ev.Func, done, s.x.execT)
 	}
 	s.pool.free[best] = done
 	s.c.add(s.t, ev.Func, ev.Level, done)
@@ -169,11 +201,30 @@ func (s *PrefixSim) ExecCalls(dst []int64, calls []trace.FuncID) ([]int64, error
 		}
 		called[f] = true
 	}
-	x := execLoop{c: &s.c, t: s.t, record: true, execT: s.execT, starts: slices.Grow(dst, len(calls))}
+	x := &s.x
+	x.record, x.starts = true, slices.Grow(dst, len(calls))
 	err := x.run(calls, 0)
 	s.calls += len(x.starts) - len(dst)
-	s.execT = x.execT
-	return x.starts, err
+	dst, x.starts = x.starts, nil
+	return dst, err
+}
+
+// ExecCall executes one call like ExecCalls and returns its start. It is
+// the online engine's step, one call between two scheduler decisions, and
+// takes the kernel's general step alone: ExecCalls' settled-tail loop pays
+// off only over a run of calls.
+func (s *PrefixSim) ExecCall(f trace.FuncID) (int64, error) {
+	if uint(f) >= uint(len(s.called)) {
+		return 0, unknownCall(f)
+	}
+	s.called[f] = true
+	x := &s.x
+	x.record, x.starts = true, s.start[:0]
+	if _, err := x.general([]trace.FuncID{f}, 0, 1, neverDone); err != nil {
+		return 0, err
+	}
+	s.calls++
+	return s.start[0], nil
 }
 
 // ExecHead executes calls in order like ExecCalls, but only those that
@@ -201,9 +252,10 @@ func (s *PrefixSim) ExecHead(dst []int64, calls []trace.FuncID, record bool) ([]
 		if record {
 			dst = slices.Grow(dst, len(chunk))
 		}
-		x := execLoop{c: &s.c, t: s.t, record: record, execT: s.execT, starts: dst}
+		x := &s.x
+		x.record, x.starts = record, dst
 		k, err := x.general(chunk, 0, len(chunk), s.c.end)
-		s.execT, dst = x.execT, x.starts
+		dst, x.starts = x.starts, nil
 		for _, f := range chunk[:k] {
 			s.called[f] = true
 		}
@@ -239,7 +291,7 @@ func (s *PrefixSim) AdvanceSettled(counts []int64, n int) error {
 		}
 		r := &s.c.tab[f]
 		if r.ready < 0 {
-			return &ErrNoReadyVersion{Func: trace.FuncID(f), Time: s.execT}
+			return &ErrNoReadyVersion{Func: trace.FuncID(f), Time: s.x.execT}
 		}
 		sum += k
 		span += k * r.exec
@@ -247,15 +299,15 @@ func (s *PrefixSim) AdvanceSettled(counts []int64, n int) error {
 	if sum != int64(n) {
 		return fmt.Errorf("sim: settled advance counts %d calls, want %d", sum, n)
 	}
-	if n > 0 && s.execT < s.c.end {
-		return fmt.Errorf("sim: settled advance at exec clock %d, before the compile end %d", s.execT, s.c.end)
+	if n > 0 && s.x.execT < s.c.end {
+		return fmt.Errorf("sim: settled advance at exec clock %d, before the compile end %d", s.x.execT, s.c.end)
 	}
 	for f, k := range counts {
 		if k > 0 {
 			s.called[f] = true
 		}
 	}
-	s.execT += span
+	s.x.execT += span
 	s.calls += n
 	return nil
 }
@@ -272,8 +324,8 @@ func (s *PrefixSim) TailStarts(dst []int64, tail []trace.FuncID, at []int) ([]in
 	if len(at) == 0 {
 		return dst, nil
 	}
-	if s.execT < s.c.end {
-		return dst, fmt.Errorf("sim: tail starts at exec clock %d, before the compile end %d", s.execT, s.c.end)
+	if s.x.execT < s.c.end {
+		return dst, fmt.Errorf("sim: tail starts at exec clock %d, before the compile end %d", s.x.execT, s.c.end)
 	}
 	col := growN(s.col, s.t.nf)
 	s.col = col
@@ -283,7 +335,7 @@ func (s *PrefixSim) TailStarts(dst []int64, tail []trace.FuncID, at []int) ([]in
 	for _, f := range s.c.used {
 		col[f] = s.c.tab[f].exec
 	}
-	t, k := s.execT, 0
+	t, k := s.x.execT, 0
 	for _, p := range at {
 		if p < k || p >= len(tail) {
 			return dst, fmt.Errorf("sim: tail position %d outside [%d,%d)", p, k, len(tail))
@@ -319,7 +371,7 @@ func unknownCall(f trace.FuncID) error {
 
 // MakeSpan returns the execution clock: the end of the last executed call,
 // or 0 before any call.
-func (s *PrefixSim) MakeSpan() int64 { return s.execT }
+func (s *PrefixSim) MakeSpan() int64 { return s.x.execT }
 
 // CompileEnd returns the finish time of the latest-finishing appended
 // compile event, or 0 before any event.
@@ -329,6 +381,21 @@ func (s *PrefixSim) CompileEnd() int64 { return s.c.end }
 // append order. The slice aliases the simulator and is valid (read-only)
 // until the next AppendCompile or Reset.
 func (s *PrefixSim) CompileDones() []int64 { return s.dones }
+
+// Bubble returns the executed calls' summed waits for their functions' first
+// versions and how many calls waited: sim.Result's TotalBubble and
+// BubbleCount. Calls counted by AdvanceSettled never wait.
+func (s *PrefixSim) Bubble() (total int64, stalls int) { return s.x.bubble, s.x.stalls }
+
+// FirstReady returns the finish time of f's earliest-finishing appended
+// compile event, or -1 if none has been appended: sim.Result's FirstReady.
+func (s *PrefixSim) FirstReady(f trace.FuncID) int64 { return s.c.tab[f].ready }
+
+// LevelAt returns the level a call to f starting at t runs at under the
+// events appended so far — the latest finished at or before t — which must
+// include one: sim.Result's CallLevels. Asked right after ExecCall ran the
+// call, it is the level the call ran at.
+func (s *PrefixSim) LevelAt(f trace.FuncID, t int64) profile.Level { return s.c.levelAt(f, t) }
 
 // NumCalls returns how many calls have been executed.
 func (s *PrefixSim) NumCalls() int { return s.calls }

@@ -75,6 +75,19 @@ func comparePrefix(t *testing.T, s *PrefixSim, starts []int64, p *profile.Profil
 			t.Fatalf("call %d starts at %d, want %d", i, starts[i], res.CallStarts[i])
 		}
 	}
+	if bubble, stalls := s.Bubble(); bubble != res.TotalBubble || stalls != res.BubbleCount {
+		t.Fatalf("bubble %d over %d stalls, want %d over %d", bubble, stalls, res.TotalBubble, res.BubbleCount)
+	}
+	for f, want := range res.FirstReady {
+		if got := s.FirstReady(trace.FuncID(f)); got != want {
+			t.Fatalf("function %d first ready at %d, want %d", f, got, want)
+		}
+	}
+	for i, f := range calls {
+		if got := s.LevelAt(f, starts[i]); got != res.CallLevels[i] {
+			t.Fatalf("call %d ran at level %d, want %d", i, got, res.CallLevels[i])
+		}
+	}
 	dones := s.CompileDones()
 	if len(dones) != len(res.Compiles) {
 		t.Fatalf("%d compile dones, want %d", len(dones), len(res.Compiles))
@@ -237,6 +250,79 @@ func TestPrefixSimRejectsHistoryRewrite(t *testing.T) {
 	if _, err := s2.ExecCalls(nil, []trace.FuncID{0}); err == nil {
 		t.Fatal("call without any compilation accepted")
 	}
+	s2.Reset()
+	var nr *ErrNoReadyVersion
+	if _, err := s2.ExecCall(0); !errors.As(err, &nr) {
+		t.Fatalf("one call without any compilation: got %v, want ErrNoReadyVersion", err)
+	}
+	if _, err := s2.ExecCall(1); err == nil {
+		t.Fatal("one call to an unknown function accepted")
+	}
+	if s2.NumCalls() != 0 || s2.MakeSpan() != 0 {
+		t.Fatalf("failed calls moved the simulation to span %d after %d calls", s2.MakeSpan(), s2.NumCalls())
+	}
+}
+
+// TestPrefixSimAppendCompileAt: an event arriving at time a starts on the
+// earliest-free worker no earlier than a, its record says so, and an
+// arrival at the exec clock always passes the history check.
+func TestPrefixSimAppendCompileAt(t *testing.T) {
+	p := &profile.Profile{
+		Levels: 2,
+		Funcs: []profile.FuncTimes{
+			{Name: "f", Compile: []int64{1, 3}, Exec: []int64{100, 10}},
+			{Name: "g", Compile: []int64{5, 50}, Exec: []int64{20, 2}},
+		},
+	}
+	s, err := NewPrefixSim(p, Config{CompileWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAt := func(ev CompileEvent, arrival int64, want CompileRecord) {
+		t.Helper()
+		rec, err := s.AppendCompileAt(ev, arrival)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec != want {
+			t.Fatalf("AppendCompileAt(%+v, %d) = %+v, want %+v", ev, arrival, rec, want)
+		}
+	}
+	appendAt(CompileEvent{Func: 0, Level: 0}, 0, CompileRecord{Event: CompileEvent{Func: 0, Level: 0}, Start: 0, Done: 1, Worker: 0})
+	appendAt(CompileEvent{Func: 1, Level: 1}, 0, CompileRecord{Event: CompileEvent{Func: 1, Level: 1}, Start: 0, Done: 50, Worker: 1})
+	starts, err := s.ExecCalls(nil, []trace.FuncID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// f runs 1..101 at level 0; g's version is done at 50, so g starts at
+	// the exec clock 101 and runs at level 1 until 103.
+	if !slices.Equal(starts, []int64{1, 101}) || s.MakeSpan() != 103 {
+		t.Fatalf("starts %v, make-span %d; want [1 101], 103", starts, s.MakeSpan())
+	}
+	// Worker 0 is free from 1, so the arrival at the clock sets the start.
+	appendAt(CompileEvent{Func: 0, Level: 1}, 103, CompileRecord{Event: CompileEvent{Func: 0, Level: 1}, Start: 103, Done: 106, Worker: 0})
+	// Worker 1, free since 50, is now the earliest.
+	appendAt(CompileEvent{Func: 1, Level: 0}, 104, CompileRecord{Event: CompileEvent{Func: 1, Level: 0}, Start: 104, Done: 109, Worker: 1})
+	if starts, err = s.ExecCalls(starts, []trace.FuncID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	// f at 103 still runs level 0 (level 1 lands at 106); g at 203 runs the
+	// level-0 version finished at 109, the latest at or before its start.
+	if !slices.Equal(starts, []int64{1, 101, 103, 203}) || s.MakeSpan() != 223 {
+		t.Fatalf("starts %v, make-span %d; want [1 101 103 203], 223", starts, s.MakeSpan())
+	}
+	if s.LevelAt(0, 103) != 0 || s.LevelAt(1, 203) != 0 || s.FirstReady(0) != 1 || s.FirstReady(1) != 50 {
+		t.Fatalf("levels %d, %d and first-ready %d, %d; want 0, 0 and 1, 50",
+			s.LevelAt(0, 103), s.LevelAt(1, 203), s.FirstReady(0), s.FirstReady(1))
+	}
+	if bubble, stalls := s.Bubble(); bubble != 1 || stalls != 1 {
+		t.Fatalf("bubble %d over %d stalls, want 1 over 1", bubble, stalls)
+	}
+	// An event arriving in the past starts when its worker frees up: this
+	// one would run 106..107 on worker 0, inside executed history.
+	if _, err := s.AppendCompileAt(CompileEvent{Func: 0, Level: 0}, 0); err == nil {
+		t.Fatal("history-rewriting append accepted")
+	}
 }
 
 // runSettled replays calls over sched on s, reset, the way a plan rebuild
@@ -257,9 +343,11 @@ func runSettled(s *PrefixSim, sched Schedule, calls []trace.FuncID, ask []int) (
 		return nil, h, err
 	}
 	if h < len(calls) {
-		if starts, err = s.ExecCalls(starts, calls[h:h+1]); err != nil {
+		start, err := s.ExecCall(calls[h])
+		if err != nil {
 			return nil, h, err
 		}
+		starts = append(starts, start)
 	}
 	var got []int64
 	var at []int
