@@ -16,14 +16,21 @@ import (
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/program"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
+// freshRunner is a runner with an empty result cache. The figure and study
+// benchmarks give one to every iteration: through the process-wide
+// runner.Shared(), every iteration after the first would be served from its
+// cache.
+func freshRunner() *runner.Runner { return runner.New(runner.Options{}) }
+
 // BenchmarkTable1 regenerates the benchmark-characteristics table.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(experiments.Options{}); err != nil {
+		if _, err := experiments.Table1(experiments.Options{Runner: freshRunner()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,7 +42,7 @@ func BenchmarkFig5(b *testing.B) {
 	var res *experiments.FigResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Fig5(experiments.Options{})
+		res, err = experiments.Fig5(experiments.Options{Runner: freshRunner()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +57,7 @@ func BenchmarkFig6(b *testing.B) {
 	var res *experiments.FigResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Fig6(experiments.Options{})
+		res, err = experiments.Fig6(experiments.Options{Runner: freshRunner()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +72,7 @@ func BenchmarkFig7(b *testing.B) {
 	var res *experiments.Fig7Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Fig7(experiments.Options{})
+		res, err = experiments.Fig7(experiments.Options{Runner: freshRunner()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +85,7 @@ func BenchmarkFig8(b *testing.B) {
 	var res *experiments.FigResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.Fig8(experiments.Options{})
+		res, err = experiments.Fig8(experiments.Options{Runner: freshRunner()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +98,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkTable2 regenerates the IAR-overhead table.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(experiments.Options{}); err != nil {
+		if _, err := experiments.Table2(experiments.Options{Runner: freshRunner()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +108,7 @@ func BenchmarkTable2(b *testing.B) {
 // functions, node budget standing in for the 2 GB heap).
 func BenchmarkAStarStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AStarStudy(experiments.AStarOptions{}); err != nil {
+		if _, err := experiments.AStarStudy(experiments.AStarOptions{Runner: freshRunner()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,7 +301,7 @@ func BenchmarkEstimatedModel(b *testing.B) {
 // subset of the suite.
 func BenchmarkPredictStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PredictStudy(experiments.Options{Benchmarks: []string{"luindex", "antlr"}})
+		rows, err := experiments.PredictStudy(experiments.Options{Benchmarks: []string{"luindex", "antlr"}, Runner: freshRunner()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -307,7 +314,7 @@ func BenchmarkPredictStudy(b *testing.B) {
 // BenchmarkPriorityStudy measures the §7 queue-discipline comparison.
 func BenchmarkPriorityStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PriorityStudy(experiments.Options{Benchmarks: []string{"jython"}}); err != nil {
+		if _, err := experiments.PriorityStudy(experiments.Options{Benchmarks: []string{"jython"}, Runner: freshRunner()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +323,7 @@ func BenchmarkPriorityStudy(b *testing.B) {
 // BenchmarkVariationStudy measures the §8 execution-variation sweep.
 func BenchmarkVariationStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.VariationStudy(experiments.Options{Benchmarks: []string{"fop"}}); err != nil {
+		if _, err := experiments.VariationStudy(experiments.Options{Benchmarks: []string{"fop"}, Runner: freshRunner()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +332,7 @@ func BenchmarkVariationStudy(b *testing.B) {
 // BenchmarkInterpreterStudy measures the §8 interpreter-tier study.
 func BenchmarkInterpreterStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.InterpreterStudy(experiments.Options{Benchmarks: []string{"luindex"}}); err != nil {
+		if _, err := experiments.InterpreterStudy(experiments.Options{Benchmarks: []string{"luindex"}, Runner: freshRunner()}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,16 +53,26 @@ import (
 // gap fill are re-decided every plan — both compare make-spans that grow
 // with the stream — so a fast replan is never a stale plan. Otherwise the
 // planner rebuilds the schedule structures and re-simulates the step-2
-// schedule and its fill-slack candidate over the prefix, each as a head plus
-// a counted tail: the calls that start before that schedule's compile end,
-// and the one after them, run call by call; past the compile end every
+// schedule and its fill-slack candidate over the prefix. Each simulation
+// rewinds to the first event where its new schedule differs from the one it
+// holds (sim.PrefixSim.Rewind), keeping the head calls that ended before
+// that event could start, and appends the new events from there; a new
+// function's init event goes in just before the appended upgrades, so the
+// kept events are usually the whole init section. The rest of
+// the head — the calls that start before that schedule's compile end — and
+// the one call after it run call by call; past the compile end every
 // function has settled, so the rest moves the clock by Σ_f late[f]·exec[f]
 // (sim.PrefixSim.AdvanceSettled), the late-call counts being the call
-// counts less the head's. The slack table's first-call starts past the head
-// are one settled running sum up to the last first call
-// (sim.PrefixSim.TailStarts). A rebuild thus costs the two heads plus
-// O(functions), not the prefix. The three simulators share one flattened
-// profile (sim.PrefixSim.RebindShared).
+// counts less the head's, updated over only the calls that left or joined
+// the head and the calls new since the last plan. The slack table's
+// first-call starts past the head are one settled running sum up to the
+// last first call (sim.PrefixSim.TailStarts). A rebuild thus costs, per
+// simulation, the re-appended events, the head past the kept calls, and
+// O(functions) — plus, for the step-2 schedule, TailStarts' walk over the
+// settled tail up to the last function's first call, which grows with the
+// prefix while new functions keep arriving. The three simulators share one
+// flattened profile (sim.PrefixSim.RebindShared). One-shot IAR, and the
+// first plan after a Reset or a failed plan, start from empty simulations.
 //
 // # Ownership and reuse contract
 //
@@ -100,41 +110,55 @@ type IARPlanner struct {
 	touched     []bool
 	touchedList []trace.FuncID
 
-	// Plan structure, valid between rebuilds while stable.
+	// Plan structure, valid between rebuilds while stable: the step-2
+	// schedule and its fill-slack candidate, each held by its simulation.
+	// A rebuild builds each new schedule in next, which resim then swaps
+	// with the one the simulation held.
 	planValid bool
-	sched2    Schedule
 	appendSet []int32
-	sched2Sim *sim.PrefixSim
+	base      planSim
 	haveCand  bool
-	candidate Schedule
-	candSim   *sim.PrefixSim
+	cand      planSim
+	next      Schedule
 	chosen    []int32
 
-	// Per-simulation late-call counts for step 4: calls starting at or after
-	// that simulation's compile end — the call counts less the head's after
-	// a rebuild, then maintained incrementally (the compile end is fixed
-	// between rebuilds, and starts are non-decreasing, so only new calls can
-	// join the late set).
-	lateBase []int64
-	lateCand []int64
-
-	// Rebuild and step-4 scratch. starts holds the call starts of the last
-	// plan simulation run — the head and the call after it after a resim,
-	// the new calls after an extension — one buffer for both simulations,
-	// since each run's starts are consumed before the next. tailAt holds
-	// the settled-tail positions of the first calls the step-2 run did not
+	// Rebuild and step-4 scratch. extStarts takes the starts of a fast
+	// replan's calls, which no head record keeps; tailAt holds the
+	// settled-tail positions of the first calls the step-2 head did not
 	// record.
-	starts  []int64
-	tailAt  []int
-	slack   []int64
-	suffMin []int64
-	removed []bool
-	cands   []int32
-	plan    Schedule
+	extStarts []int64
+	tailAt    []int
+	slack     []int64
+	suffMin   []int64
+	removed   []bool
+	cands     []int32
+	plan      Schedule
 
 	replans     int64
 	fastReplans int64
 	runs        int64 // one-shot IAR runs
+}
+
+// planSim is the resumable simulation of one plan schedule over the visible
+// prefix, and what the next rebuild rewinds it by.
+type planSim struct {
+	s     *sim.PrefixSim
+	sched Schedule // the schedule s holds
+	// starts records the starts of the first executed calls, as the last
+	// rebuild left them: the head — the calls that start before the
+	// compile end — and the call after it, unless it was the first plan
+	// after Reset.
+	starts []int64
+	head   int // the head's length; fast replans can take it past starts
+
+	// late counts, per function, the visible calls that start at or after
+	// the compile end, which step 4 ranks gap fills by: the call counts
+	// less the head's. The compile end is fixed between rebuilds and
+	// starts never decrease, so a fast replan only adds to them.
+	late []int64
+	// valid says s holds the completed simulation of the schedule it was
+	// last given; otherwise a rebuild starts from an empty simulator.
+	valid bool
 }
 
 // NewIARPlanner returns a planner reset to the profile and options; see
@@ -167,7 +191,7 @@ func (pl *IARPlanner) Reset(p *profile.Profile, opts IAROptions) error {
 		model = profile.NewOracle(p)
 	}
 	if pl.initSim == nil {
-		pl.initSim, pl.sched2Sim, pl.candSim = new(sim.PrefixSim), new(sim.PrefixSim), new(sim.PrefixSim)
+		pl.initSim, pl.base.s, pl.cand.s = new(sim.PrefixSim), new(sim.PrefixSim), new(sim.PrefixSim)
 		iarCounters.planners.Add(1)
 		obs.Default().IARPlannerCreated()
 	}
@@ -175,19 +199,19 @@ func (pl *IARPlanner) Reset(p *profile.Profile, opts IAROptions) error {
 	if err := pl.initSim.Rebind(p, sim.DefaultConfig()); err != nil {
 		return err
 	}
-	for _, s := range [...]*sim.PrefixSim{pl.sched2Sim, pl.candSim} {
-		if err := s.RebindShared(pl.initSim, sim.DefaultConfig()); err != nil {
+	nf := p.NumFuncs()
+	for _, ps := range [...]*planSim{&pl.base, &pl.cand} {
+		ps.valid = false
+		ps.late = growTo(ps.late, nf)
+		if err := ps.s.RebindShared(pl.initSim, sim.DefaultConfig()); err != nil {
 			return err
 		}
 	}
-	nf := p.NumFuncs()
 	pl.p, pl.opts, pl.model, pl.nf = p, opts, model, nf
 	pl.nCalls = 0
 	pl.counts = zeroed(pl.counts, nf)
 	pl.n1 = zeroed(pl.n1, nf)
 	pl.touched = zeroed(pl.touched, nf)
-	pl.lateBase = zeroed(pl.lateBase, nf)
-	pl.lateCand = zeroed(pl.lateCand, nf)
 	pl.firstCall = growTo(pl.firstCall, nf)
 	pl.posOf = growTo(pl.posOf, nf)
 	for f := range nf {
@@ -202,7 +226,9 @@ func (pl *IARPlanner) Reset(p *profile.Profile, opts IAROptions) error {
 	pl.slack = slices.Grow(pl.slack[:0], nf)
 	pl.tailAt = slices.Grow(pl.tailAt[:0], nf)
 	pl.suffMin = slices.Grow(pl.suffMin[:0], nf+1)
-	pl.sched2 = slices.Grow(pl.sched2[:0], 2*nf)
+	pl.base.sched = slices.Grow(pl.base.sched[:0], 2*nf)
+	pl.cand.sched = slices.Grow(pl.cand.sched[:0], 2*nf)
+	pl.next = slices.Grow(pl.next[:0], 2*nf)
 	pl.plan = slices.Grow(pl.plan[:0], 2*nf)
 	pl.touchedList = slices.Grow(pl.touchedList[:0], nf)
 	pl.planValid, pl.haveCand = false, false
@@ -272,7 +298,7 @@ func (pl *IARPlanner) Plan(visible *trace.Trace) (Schedule, error) {
 	pl.replans++
 	if stable {
 		pl.fastReplans++
-		err = pl.extendPlanSims(visible.Calls[pl.sched2Sim.NumCalls():])
+		err = pl.extendPlanSims(visible.Calls[pl.base.s.NumCalls():])
 	} else {
 		err = pl.rebuildPlans(visible.Calls)
 	}
@@ -368,34 +394,41 @@ func (pl *IARPlanner) classify(visible *trace.Trace) (stable bool, err error) {
 // extendPlanSims advances the step-2 and candidate simulations by the new
 // calls only — the whole cost of a fast replan.
 func (pl *IARPlanner) extendPlanSims(delta []trace.FuncID) error {
-	if err := pl.execLate(pl.sched2Sim, delta, pl.lateBase); err != nil {
+	if err := pl.extend(&pl.base, delta); err != nil {
 		return err
 	}
 	if pl.haveCand {
-		return pl.execLate(pl.candSim, delta, pl.lateCand)
+		return pl.extend(&pl.cand, delta)
 	}
 	return nil
 }
 
-// execLate executes calls on a plan simulation, into the shared starts
-// scratch, and adds the calls that start at or after its compile end to the
-// per-function late-call counts. Starts never decrease, so the late calls
-// are a suffix.
-func (pl *IARPlanner) execLate(s *sim.PrefixSim, calls []trace.FuncID, late []int64) error {
-	var err error
-	if pl.starts, err = s.ExecCalls(pl.starts[:0], calls); err != nil {
+// extend executes new calls on a plan simulation and counts those that
+// start at or after its compile end as late. Starts never decrease, so once
+// one executed call is late every later one is too: only while the whole
+// prefix is head can a new call join the head. The new starts go to
+// scratch: the head record stays as the last rebuild left it, and Rewind
+// takes a record shorter than the calls executed.
+func (pl *IARPlanner) extend(ps *planSim, calls []trace.FuncID) error {
+	ps.valid = false
+	n := ps.s.NumCalls()
+	starts, err := ps.s.ExecCalls(pl.extStarts[:0], calls)
+	pl.extStarts = starts
+	if err != nil {
 		return err
 	}
-	k, _ := slices.BinarySearch(pl.starts, s.CompileEnd())
-	for _, f := range calls[k:] {
-		late[f]++
+	k := 0
+	if ps.head == n {
+		k, _ = slices.BinarySearch(starts, ps.s.CompileEnd())
+		ps.head += k
 	}
+	for _, f := range calls[k:] {
+		ps.late[f]++
+	}
+	ps.valid = true
 	return nil
 }
 
-// rebuildPlans reconstructs the step-2 schedule and the fill-slack candidate
-// from the current per-function outcomes and re-simulates both over the full
-// prefix — Fig. 3 steps 2 and 3.
 func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 	funcs := pl.funcs
 	appendSet := pl.appendSet[:0]
@@ -410,7 +443,7 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 	})
 	pl.appendSet = appendSet
 
-	sched := pl.sched2[:0]
+	sched := pl.next[:0]
 	for i := range funcs {
 		ff := &funcs[i]
 		level := ff.low
@@ -423,18 +456,17 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 		funcs[fi].appended = len(sched)
 		sched = append(sched, sim.CompileEvent{Func: funcs[fi].f, Level: funcs[fi].high})
 	}
-	pl.sched2 = sched
-
-	if err := pl.resim(pl.sched2Sim, sched, calls, pl.lateBase, !pl.opts.DisableFillSlack); err != nil {
+	if err := pl.resim(&pl.base, sched, calls, !pl.opts.DisableFillSlack); err != nil {
 		return err
 	}
+	sched = pl.base.sched
 
 	pl.haveCand = false
 	if !pl.opts.DisableFillSlack {
 		// Slack per init position — the first-call start the step-2 run
 		// left in slack less the first compile's finish — suffix minima,
 		// and the greedy no-bubble replacement set — Fig. 3 step 3.
-		slack, dones := pl.slack, pl.sched2Sim.CompileDones()
+		slack, dones := pl.slack, pl.base.s.CompileDones()
 		for i := range slack {
 			slack[i] -= dones[i]
 		}
@@ -465,7 +497,7 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 			removed := growTo(pl.removed, len(sched))
 			pl.removed = removed
 			clear(removed)
-			cand := append(pl.candidate[:0], sched...)
+			cand := append(pl.next[:0], sched...)
 			for _, fi := range chosen {
 				cand[fi].Level = funcs[fi].high
 				removed[funcs[fi].appended] = true
@@ -476,8 +508,7 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 					out = append(out, ev)
 				}
 			}
-			pl.candidate = out
-			if err := pl.resim(pl.candSim, out, calls, pl.lateCand, false); err != nil {
+			if err := pl.resim(&pl.cand, out, calls, false); err != nil {
 				return err
 			}
 			pl.haveCand = true
@@ -486,47 +517,83 @@ func (pl *IARPlanner) rebuildPlans(calls []trace.FuncID) error {
 	return nil
 }
 
-// resim replays a schedule over the prefix on a resumable simulator and
-// recomputes its late-call counts, at the cost of its head plus
-// O(functions): the head (the calls that start before the compile end) and
-// the one call after it, which may wait for the version finishing at the
-// compile end, run call by call; the settled rest advances the clock from
-// per-function call counts. Every call past the head is late, so the late
-// counts are the prefix's call counts less the head's. With first set it
-// also fills slack with each function's first-call start, in funcs order —
-// the head's starts are recorded, and the rest are one settled sum up to
-// the last first call.
-func (pl *IARPlanner) resim(s *sim.PrefixSim, sched Schedule, calls []trace.FuncID, late []int64, first bool) error {
-	s.Reset()
+// resim brings a plan simulation to a new schedule over the prefix and
+// recomputes its late-call counts. A valid simulation rewinds to the first
+// event where the schedule it holds and the new one differ
+// (sim.PrefixSim.Rewind), keeping the head calls no later event can touch;
+// an invalid one starts empty. The new events are appended, and the head —
+// the calls that start before the compile end — resumes after the kept
+// calls, call by call, as does the one call after it, which may wait for
+// the version finishing at the compile end; the settled rest advances the
+// clock from per-function call counts. Every call past the head is late, so
+// the late counts change only by the calls that left or joined the head and
+// by the calls new since the simulation last ran. With first set it also
+// fills slack with each function's first-call start, in funcs order — the
+// head's starts are recorded, and the rest are one settled sum up to the
+// last first call.
+func (pl *IARPlanner) resim(ps *planSim, sched Schedule, calls []trace.FuncID, first bool) error {
+	s, late := ps.s, ps.late
+	i, old := 0, ps.sched
+	for i < len(old) && i < len(sched) && old[i] == sched[i] {
+		i++
+	}
+	ps.sched, pl.next = sched, old[:0]
+	k := 0
+	if ps.valid {
+		ps.valid = false
+		n := s.NumCalls()
+		var err error
+		if k, err = s.Rewind(i, calls[:len(ps.starts)], ps.starts); err != nil {
+			return err
+		}
+		for _, f := range calls[n:] {
+			late[f]++
+		}
+		for _, f := range calls[k:ps.head] {
+			late[f]++
+		}
+		sched = sched[i:]
+	} else {
+		s.Reset()
+		copy(late, pl.counts)
+	}
 	for _, ev := range sched {
 		if err := s.AppendCompile(ev); err != nil {
 			return err
 		}
 	}
-	starts, h, err := s.ExecHead(pl.starts[:0], calls, first)
-	pl.starts = starts
+	// Only a later rebuild rewinds by the record, so the first plan after
+	// Reset — all of a one-shot IAR — records only the starts slack reads.
+	record := first || pl.replans > 1
+	starts, h, err := s.ExecHead(ps.starts[:k], calls[k:], record)
+	ps.starts = starts
 	if err != nil {
 		return err
 	}
-	copy(late, pl.counts)
-	for _, f := range calls[:h] {
+	h += k
+	ps.head = h
+	for _, f := range calls[k:h] {
 		late[f]--
 	}
 	rest := calls[h:]
 	if len(rest) > 0 {
-		if pl.starts, err = s.ExecCalls(pl.starts, rest[:1]); err != nil {
+		start, err := s.ExecCall(rest[0])
+		if err != nil {
 			return err
+		}
+		if record {
+			ps.starts = append(ps.starts, start)
 		}
 		rest = rest[1:]
 	}
 	if first {
 		// funcs is in first-call order: the first calls the recorded
 		// starts cover come first, the rest lie in the settled tail.
-		known := len(pl.starts)
+		known := len(ps.starts)
 		fs, at := pl.slack[:0], pl.tailAt[:0]
 		for i := range pl.funcs {
 			if fc := pl.firstCall[pl.funcs[i].f]; fc < known {
-				fs = append(fs, pl.starts[fc])
+				fs = append(fs, ps.starts[fc])
 			} else {
 				at = append(at, fc-known)
 			}
@@ -536,24 +603,27 @@ func (pl *IARPlanner) resim(s *sim.PrefixSim, sched Schedule, calls []trace.Func
 			return err
 		}
 	}
-	if len(rest) == 0 {
-		return nil
+	if len(rest) > 0 {
+		// The call at the compile end is late but already executed.
+		b := calls[h]
+		late[b]--
+		err = s.AdvanceSettled(late, len(rest))
+		late[b]++
+		if err != nil {
+			return err
+		}
 	}
-	// The call at the compile end is late but already executed.
-	b := calls[h]
-	late[b]--
-	err = s.AdvanceSettled(late, len(rest))
-	late[b]++
-	return err
+	ps.valid = true
+	return nil
 }
 
 // finishPlan re-decides the fill-slack acceptance and re-runs the gap fill —
 // the two parts of the plan that depend on the full stream length — and
 // assembles the returned schedule.
 func (pl *IARPlanner) finishPlan() Schedule {
-	final, finalSim, late := pl.sched2, pl.sched2Sim, pl.lateBase
-	if pl.haveCand && pl.candSim.MakeSpan() <= pl.sched2Sim.MakeSpan() {
-		final, finalSim, late = pl.candidate, pl.candSim, pl.lateCand
+	final, finalSim, late := pl.base.sched, pl.base.s, pl.base.late
+	if pl.haveCand && pl.cand.s.MakeSpan() <= pl.base.s.MakeSpan() {
+		final, finalSim, late = pl.cand.sched, pl.cand.s, pl.cand.late
 	}
 	plan := append(pl.plan[:0], final...)
 	if !pl.opts.DisableFillGap {

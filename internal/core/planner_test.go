@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/testkit"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // plannerWorkload is a smaller variant of testWorkload: growing-prefix
@@ -25,20 +26,28 @@ func plannerWorkload(seed int64) (*trace.Trace, *profile.Profile) {
 	return tr, p
 }
 
-// growPlanner drives one planner over growing prefixes of the trace and
-// asserts that every plan equals legacyIAR on the same prefix. Returns the
-// planner for stats assertions.
+// growPlanner drives one planner over growing prefixes of the trace, one
+// every stride calls, and asserts that every plan equals legacyIAR on the
+// same prefix. Returns the planner for stats assertions.
 func growPlanner(t *testing.T, label string, tr *trace.Trace, p *profile.Profile, opts IAROptions, stride int) *IARPlanner {
+	t.Helper()
+	var his []int
+	for hi := stride; hi < tr.Len(); hi += stride {
+		his = append(his, hi)
+	}
+	return planPrefixes(t, label, tr, p, opts, append(his, tr.Len()))
+}
+
+// planPrefixes is growPlanner over the prefixes ending at his, which must
+// not decrease; after every plan it also checks the plan simulations.
+func planPrefixes(t *testing.T, label string, tr *trace.Trace, p *profile.Profile, opts IAROptions, his []int) *IARPlanner {
 	t.Helper()
 	pl, err := NewIARPlanner(p, opts)
 	if err != nil {
 		t.Fatalf("%s: NewIARPlanner: %v", label, err)
 	}
 	cursor := trace.NewPrefix(tr)
-	for hi := stride; ; hi += stride {
-		if hi > tr.Len() {
-			hi = tr.Len()
-		}
+	for _, hi := range his {
 		if err := cursor.Extend(hi); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -51,11 +60,140 @@ func growPlanner(t *testing.T, label string, tr *trace.Trace, p *profile.Profile
 			t.Fatalf("%s: legacy(%d): %v", label, hi, err)
 		}
 		sameSchedule(t, fmt.Sprintf("%s/hi=%d", label, hi), got, want)
-		if hi == tr.Len() {
-			break
-		}
+		checkPlanSims(t, fmt.Sprintf("%s/hi=%d", label, hi), pl, cursor.Trace().Calls)
 	}
 	return pl
+}
+
+// checkPlanSims holds the planner's plan simulations — carried from plan to
+// plan and rewound at rebuilds — to a Reset and full replay of the schedule
+// each holds over the visible calls: every simulator accessor, the record of
+// first starts a rewind keeps calls by, the head's length and the late-call
+// counts.
+func checkPlanSims(t *testing.T, label string, pl *IARPlanner, calls []trace.FuncID) {
+	t.Helper()
+	if len(calls) == 0 {
+		return
+	}
+	sims := map[string]*planSim{"step-2": &pl.base}
+	if pl.haveCand {
+		sims["candidate"] = &pl.cand
+	}
+	for name, ps := range sims {
+		tag := label + "/" + name
+		if !ps.valid {
+			t.Fatalf("%s: simulation not valid after a plan", tag)
+		}
+		fresh := new(sim.PrefixSim)
+		if err := fresh.RebindShared(pl.initSim, sim.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range ps.sched {
+			if err := fresh.AppendCompile(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		starts, err := fresh.ExecCalls(nil, calls)
+		if err != nil {
+			t.Fatalf("%s: fresh replay: %v", tag, err)
+		}
+		s := ps.s
+		if s.MakeSpan() != fresh.MakeSpan() || s.CompileEnd() != fresh.CompileEnd() ||
+			s.NumCalls() != len(calls) || s.NumCompiles() != fresh.NumCompiles() {
+			t.Fatalf("%s: span %d, compile end %d, %d calls, %d compiles; fresh replay %d, %d, %d, %d", tag,
+				s.MakeSpan(), s.CompileEnd(), s.NumCalls(), s.NumCompiles(),
+				fresh.MakeSpan(), fresh.CompileEnd(), len(calls), fresh.NumCompiles())
+		}
+		if !slices.Equal(s.CompileDones(), fresh.CompileDones()) {
+			t.Fatalf("%s: compile dones differ from the fresh replay's", tag)
+		}
+		gb, gs := s.Bubble()
+		wb, ws := fresh.Bubble()
+		if gb != wb || gs != ws {
+			t.Fatalf("%s: bubble %d over %d stalls, fresh replay %d over %d", tag, gb, gs, wb, ws)
+		}
+		head, late := 0, make([]int64, pl.nf)
+		for i, f := range calls {
+			if starts[i] < fresh.CompileEnd() {
+				head++
+			} else {
+				late[f]++
+			}
+		}
+		if ps.head != head {
+			t.Fatalf("%s: head of %d calls, fresh replay's is %d", tag, ps.head, head)
+		}
+		if len(ps.starts) > len(starts) || !slices.Equal(ps.starts, starts[:len(ps.starts)]) {
+			t.Fatalf("%s: the record of %d starts is not the fresh replay's first starts", tag, len(ps.starts))
+		}
+		for f := range pl.nf {
+			if s.FirstReady(trace.FuncID(f)) != fresh.FirstReady(trace.FuncID(f)) {
+				t.Fatalf("%s: function %d first ready at %d, fresh replay %d", tag, f,
+					s.FirstReady(trace.FuncID(f)), fresh.FirstReady(trace.FuncID(f)))
+			}
+			if ps.late[f] != late[f] {
+				t.Fatalf("%s: function %d has %d late calls, fresh replay %d", tag, f, ps.late[f], late[f])
+			}
+		}
+	}
+}
+
+// TestIARPlannerHeadExtension: plans whose whole prefix runs before the
+// compile end, and replans on the fast path that extend that head. Function
+// 0 runs 1000 calls, then function 1 appears (its version finished long
+// before), then function 0 runs on. From call 1213 on, function 0's level 1
+// pays off but its compile is dear, so it is appended after the init
+// schedule and finishes at 140001, while the calls reach that clock only
+// around call 1400: the plans in between keep the whole prefix in the head.
+// Planning first at call 1220 makes the head's first plan the one after
+// Reset, which records no starts it does not read.
+func TestIARPlannerHeadExtension(t *testing.T) {
+	p := &profile.Profile{
+		Levels: 2,
+		Funcs: []profile.FuncTimes{
+			{Compile: []int64{1, 120000}, Exec: []int64{100, 1}},
+			{Compile: []int64{20000, 20000}, Exec: []int64{100, 100}},
+		},
+	}
+	calls := make([]trace.FuncID, 1500)
+	calls[1000] = 1
+	tr := trace.New("head", calls)
+	for _, opts := range []IAROptions{{}, {DisableFillSlack: true}} {
+		label := fmt.Sprintf("headExtension/noFillSlack=%v", opts.DisableFillSlack)
+		if pl := growPlanner(t, label, tr, p, opts, 20); pl.FastReplans() == 0 {
+			t.Fatalf("%s: no fast replan: the head is never extended", label)
+		}
+		if pl := planPrefixes(t, label+"/late start", tr, p, opts, []int{1220, 1240, 1260, 1500}); pl.FastReplans() < 2 {
+			t.Fatalf("%s/late start: %d fast replans, want the head extended twice", label, pl.FastReplans())
+		}
+	}
+}
+
+// TestIARPlannerCohortStream is the growth differential, with the plan
+// simulations checked after every plan, on a four-cohort stream replanned
+// at the online scheduler's default stride: new functions keep arriving
+// from four programs, so most replans rebuild and rewind.
+func TestIARPlannerCohortStream(t *testing.T) {
+	spec := &workload.Spec{
+		Name: "cohorts", Seed: 3, Length: 20000,
+		Cohorts: []workload.Cohort{
+			{Bench: "antlr", Scale: 0.02}, {Bench: "luindex", Scale: 0.02},
+			{Bench: "pmd", Scale: 0.02}, {Bench: "hsqldb", Scale: 0.02},
+		},
+		Phases: []workload.Phase{
+			{Weight: 1, Process: workload.ProcessSteady, Mix: []float64{3, 1, 1, 0}},
+			{Weight: 1, Process: workload.ProcessPoisson},
+			{Weight: 1, Process: workload.ProcessBursty, BurstMean: 16, Mix: []float64{0, 1, 1, 3}},
+		},
+	}
+	tr, p, err := spec.Render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := growPlanner(t, "cohorts", tr, p, IAROptions{}, 512)
+	if rebuilds := pl.Replans() - pl.FastReplans(); rebuilds < 2 {
+		t.Fatalf("%d rebuilds in %d plans: the stream never rewinds", rebuilds, pl.Replans())
+	}
 }
 
 // TestIARPlannerBitIdenticalGrowth sweeps synthetic workloads and the full

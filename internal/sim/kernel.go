@@ -106,10 +106,29 @@ func (c *compiled) add(t *tables, f trace.FuncID, l profile.Level, done int64) {
 		c.used = append(c.used, f)
 	}
 	r.versions.insert(done, l)
+	r.refresh(t, f)
+	c.end = max(c.end, done)
+}
+
+// remove drops the last-added of f's versions finishing at done and
+// refreshes f's settled-table entry. It leaves used and end alone:
+// PrefixSim.Rewind, which removes the latest events last-first, trims them
+// once.
+func (c *compiled) remove(t *tables, f trace.FuncID, done int64) {
+	r := &c.tab[f]
+	r.versions.removeLast(done)
+	r.refresh(t, f)
+}
+
+// refresh re-derives function f's settled-table entry from its version list.
+func (r *fnState) refresh(t *tables, f trace.FuncID) {
 	vs := r.versions.vs
+	if len(vs) == 0 {
+		r.ready, r.last = -1, neverDone
+		return
+	}
 	r.ready, r.last, r.level = vs[0].done, vs[len(vs)-1].done, vs[len(vs)-1].level
 	r.exec = t.exec(f, r.level)
-	c.end = max(c.end, done)
 }
 
 // levelAt returns the level a call to f starting at t runs at; the call
@@ -146,7 +165,19 @@ type execLoop struct {
 	bubble int64 // summed waits for first versions
 	stalls int   // calls that waited
 	starts []int64
+
+	// With logStalls set (PrefixSim), the i-th stall is logged at index
+	// i-1 of stallLog, for PrefixSim.Rewind to read back. Only the stall
+	// branch writes it, so the per-call path is untouched.
+	logStalls bool
+	stallLog  []stallMark
 }
+
+// stallMark is one logged stall: the waiting call's start and the bubble
+// total once it has waited. A stalled call starts strictly after the end of
+// the call before it, so the stalls among the first k calls are exactly the
+// marks that start at or before call k-1's start.
+type stallMark struct{ start, bubble int64 }
 
 // run executes calls[i:], polling the interrupt channel every
 // interruptStride calls.
@@ -194,6 +225,9 @@ func (x *execLoop) general(calls []trace.FuncID, i, stop int, bound int64) (int,
 			bubble += start - execT
 			stalls++
 			rec.Stall(execT, start-execT, int32(f), int32(i))
+			if x.logStalls {
+				x.stallLog = append(x.stallLog[:stalls-1], stallMark{start: start, bubble: bubble})
+			}
 		}
 		level, dur := r.level, r.exec
 		if start < r.last {

@@ -19,16 +19,20 @@ import (
 // append-only between plan rebuilds, so each online replan costs O(new
 // calls) rather than O(prefix).
 //
-// A plan rebuild replays a schedule over the whole prefix in two parts.
-// The head — the calls that start before the compile end — runs call by
-// call (ExecHead), and so does the one call after it, which may wait for
-// the version that finishes at the compile end. From then on every compiled
-// function has settled: each call starts at the exec clock and takes its
-// function's settled exec time, so the rest of the prefix — the settled
-// tail — moves the clock by Σ_f count[f]·exec[f] whatever the calls' order
-// (AdvanceSettled), in O(functions), and the starts of chosen tail calls
-// are one running sum over a dense column of settled exec times
-// (TailStarts). A one-shot plan is the same passes over the whole trace.
+// A plan rebuild changes the schedule, so it does not append: it rewinds
+// the simulation to the first event where the old and new schedules differ,
+// keeping the head calls that ended before that event could start (Rewind),
+// appends the new events from there, and replays the prefix from the kept
+// calls on in two parts. The head — the calls that start before the compile
+// end — runs call by call (ExecHead), and so does the one call after it,
+// which may wait for the version that finishes at the compile end. From
+// then on every compiled function has settled: each call starts at the exec
+// clock and takes its function's settled exec time, so the rest of the
+// prefix — the settled tail — moves the clock by Σ_f count[f]·exec[f]
+// whatever the calls' order (AdvanceSettled), in O(functions), and the
+// starts of chosen tail calls are one running sum over a dense column of
+// settled exec times (TailStarts). A one-shot plan is the same passes over
+// the whole trace from an empty simulation.
 //
 // # Exactness contract
 //
@@ -53,32 +57,44 @@ import (
 // The contract holds because appending never rewrites history: calls execute
 // sequentially, so earlier starts cannot depend on later calls; and a
 // compile event appended after some calls have executed is only admitted
-// when no executed call could have used it — its function has never executed
-// (the replanner's case: a function newly revealed by the stream), or its
-// finish time is at or past the execution clock (always so for an event
-// arriving at the clock, online.Run's case). AppendCompileAt rejects the
-// one shape that would diverge (an already-executed function's event
-// finishing in the past) instead of silently producing a non-replayable
-// state.
+// when no executed call could have used it — its function has no version
+// finished by the execution clock, so no executed call can have run it (the
+// replanner's case: a function newly revealed by the stream), or its finish
+// time is at or past the clock (always so for an event arriving at the
+// clock, online.Run's case). AppendCompileAt rejects the other shape — an
+// event finishing before the clock for a function with a version finished
+// by then — instead of risking a non-replayable state; it keeps no per-call
+// record of which functions ran, so it also refuses such an event for a
+// function that never ran, which no caller appends.
+//
+// Rewind is the one step that removes history, and it keeps the contract:
+// rewound to its first i events and k calls, the simulator is exactly one
+// that appended e1..ei and executed c1..ck — the same clock, bubbles and
+// stalls, worker pool and version lists — so whatever
+// is appended and executed after it is covered as above. It keeps only
+// calls that ended by the time the first dropped event could start, so no
+// kept call saw a dropped version and no appended event can rewrite a kept
+// call. TestPrefixSimRewind diffs a rewound simulation at every event
+// boundary against a fresh replay.
 //
 // A PrefixSim is not safe for concurrent use. On any returned error other
-// than AppendCompileAt's, AdvanceSettled's and TailStarts' (which leave the
-// state untouched) the simulation is mid-step and must be Reset before
-// reuse.
+// than AppendCompileAt's, Rewind's, AdvanceSettled's and TailStarts' (which
+// leave the state untouched) the simulation is mid-step and must be Reset
+// before reuse.
 type PrefixSim struct {
 	own   tables  // the profile as Rebind flattened it
 	t     *tables // &own, or the shared table of RebindShared's source
 	c     compiled
 	pool  workerPool
+	fns   []trace.FuncID // the appended events' functions, in append order
 	dones []int64
 	calls int // calls executed
 	// x is the kernel's state between steps: the exec clock (the end of
-	// the last executed call) and the executed calls' bubble total and
-	// stall count.
-	x      execLoop
-	called []bool
-	col    []int64  // TailStarts' settled exec times; -1 for an uncompiled function
-	start  [1]int64 // ExecCall's start
+	// the last executed call), the executed calls' bubble total and stall
+	// count, and the stall log Rewind restores those two from.
+	x     execLoop
+	col   []int64  // TailStarts' settled exec times; -1 for an uncompiled function
+	start [1]int64 // ExecCall's start
 }
 
 // NewPrefixSim builds a resumable simulator for the profile under the given
@@ -128,9 +144,11 @@ func (s *PrefixSim) RebindShared(src *PrefixSim, cfg Config) error {
 // bind points the simulator at a loaded table and resets it.
 func (s *PrefixSim) bind(t *tables, cfg Config) {
 	s.t = t
-	s.x = execLoop{c: &s.c, t: t}
+	s.x = execLoop{c: &s.c, t: t, logStalls: true, stallLog: s.x.stallLog[:0]}
 	s.pool.reset(cfg.CompileWorkers)
-	s.called = growN(s.called, t.nf)
+	// A schedule compiles each function about once; sized for that, the
+	// event arrays rarely grow.
+	s.fns, s.dones = slices.Grow(s.fns[:0], t.nf), slices.Grow(s.dones[:0], t.nf)
 	s.Reset()
 }
 
@@ -140,8 +158,7 @@ func (s *PrefixSim) bind(t *tables, cfg Config) {
 func (s *PrefixSim) Reset() {
 	s.c.reset(s.t.nf)
 	clear(s.pool.free)
-	clear(s.called)
-	s.dones = s.dones[:0]
+	s.fns, s.dones = s.fns[:0], s.dones[:0]
 	s.calls = 0
 	s.x.execT, s.x.bubble, s.x.stalls = 0, 0, 0
 }
@@ -155,8 +172,9 @@ func (s *PrefixSim) AppendCompile(ev CompileEvent) error { return s.appendAt(ev,
 // later of that worker's free time and its arrival. It updates the
 // function's settled-table row in O(1) and returns the event's compile
 // record. It rejects out-of-range events and — see the exactness contract —
-// an event for an already-executed function that would finish before the
-// current execution clock. On error the state is unchanged.
+// an event that would finish before the current execution clock for a
+// function with a version finished by then. On error the state is
+// unchanged.
 func (s *PrefixSim) AppendCompileAt(ev CompileEvent, arrival int64) (CompileRecord, error) {
 	// The worker appendAt picks is the one earliest free now.
 	w, free := s.pool.earliest()
@@ -178,14 +196,95 @@ func (s *PrefixSim) appendAt(ev CompileEvent, arrival int64) error {
 	}
 	best, free := s.pool.earliest()
 	done := max(free, arrival) + s.t.compile(ev.Func, ev.Level)
-	if s.called[ev.Func] && done < s.x.execT {
+	if ready := s.c.tab[ev.Func].ready; ready >= 0 && ready <= s.x.execT && done < s.x.execT {
 		return fmt.Errorf("sim: prefix append of function %d finishing at %d would rewrite history before exec clock %d",
 			ev.Func, done, s.x.execT)
 	}
 	s.pool.free[best] = done
 	s.c.add(s.t, ev.Func, ev.Level, done)
+	s.fns = append(s.fns, ev.Func)
 	s.dones = append(s.dones, done)
 	return nil
+}
+
+// Rewind rolls the simulation back to its first i compile events and to
+// the longest run of its first calls that no later event can affect, and
+// returns how many calls it kept: the state is then exactly the one
+// appending those events and executing those calls gives. calls and starts
+// are the caller's record of the first executed calls and their starts, as
+// ExecCalls, ExecCall and ExecHead returned them. The record may stop short
+// of NumCalls, and it stops at the latest at the first call AdvanceSettled
+// counted, which has no recorded start. The kept calls are the recorded
+// ones that start before, and end at or before, the free time: the
+// earliest-free worker's free time once the kept events are placed, where
+// every dropped event started and every event appended next will start at
+// the earliest. So no kept call saw a dropped version or can see a new
+// one, and each new event passes the history check: appending the new
+// events and executing the calls after the kept ones is a fresh replay of
+// the kept events, the new ones and all the calls (the exactness contract).
+//
+// Nothing is re-executed. The cost is O(i·workers) to replay the worker
+// pool over the kept finish times, O(1) per dropped event (O(versions) in
+// the worst case), O(functions compiled) and a binary search over the
+// record. On error — i outside [0, NumCompiles], a record whose calls and
+// starts differ in length, or one longer than NumCalls — the state is
+// unchanged.
+func (s *PrefixSim) Rewind(i int, calls []trace.FuncID, starts []int64) (int, error) {
+	if i < 0 || i > len(s.dones) {
+		return 0, fmt.Errorf("sim: rewind to %d events outside [0,%d]", i, len(s.dones))
+	}
+	if len(calls) != len(starts) || len(starts) > s.calls {
+		return 0, fmt.Errorf("sim: rewind record of %d calls and %d starts with %d calls executed",
+			len(calls), len(starts), s.calls)
+	}
+	clear(s.pool.free)
+	var end int64
+	for _, d := range s.dones[:i] {
+		w, _ := s.pool.earliest()
+		s.pool.free[w] = d
+		end = max(end, d)
+	}
+	_, free := s.pool.earliest()
+
+	// Starts never decrease, so the calls starting before free are a prefix;
+	// of those only the last can end past it.
+	k, _ := slices.BinarySearch(starts, free)
+	if k > 0 && s.callEnd(calls[k-1], starts[k-1]) > free {
+		k--
+	}
+	var execT int64
+	if k > 0 {
+		execT = s.callEnd(calls[k-1], starts[k-1])
+	}
+
+	for j := len(s.dones) - 1; j >= i; j-- {
+		s.c.remove(s.t, s.fns[j], s.dones[j])
+	}
+	// used is in first-version order, so the functions left without a
+	// version — those first compiled by a dropped event — are its tail.
+	used := s.c.used
+	for len(used) > 0 && s.c.tab[used[len(used)-1]].ready < 0 {
+		used = used[:len(used)-1]
+	}
+	s.c.used, s.c.end = used, end
+	s.fns, s.dones = s.fns[:i], s.dones[:i]
+
+	log, n := s.x.stallLog, s.x.stalls
+	for n > 0 && (k == 0 || log[n-1].start > starts[k-1]) {
+		n--
+	}
+	s.x.stalls, s.x.bubble = n, 0
+	if n > 0 {
+		s.x.bubble = log[n-1].bubble
+	}
+	s.x.execT, s.calls = execT, k
+	return k, nil
+}
+
+// callEnd is the end of an executed call to f that started at t: its start
+// plus its exec time at the level it ran at.
+func (s *PrefixSim) callEnd(f trace.FuncID, t int64) int64 {
+	return t + s.t.exec(f, s.c.levelAt(f, t))
 }
 
 // ExecCalls executes the given calls in order, advancing the simulation
@@ -194,12 +293,10 @@ func (s *PrefixSim) appendAt(ev CompileEvent, arrival int64) error {
 // with no appended compilation fails with *ErrNoReadyVersion, as in the
 // static simulators.
 func (s *PrefixSim) ExecCalls(dst []int64, calls []trace.FuncID) ([]int64, error) {
-	called := s.called
 	for _, f := range calls {
-		if uint(f) >= uint(len(called)) {
+		if uint(f) >= uint(s.t.nf) {
 			return dst, unknownCall(f)
 		}
-		called[f] = true
 	}
 	x := &s.x
 	x.record, x.starts = true, slices.Grow(dst, len(calls))
@@ -214,10 +311,9 @@ func (s *PrefixSim) ExecCalls(dst []int64, calls []trace.FuncID) ([]int64, error
 // takes the kernel's general step alone: ExecCalls' settled-tail loop pays
 // off only over a run of calls.
 func (s *PrefixSim) ExecCall(f trace.FuncID) (int64, error) {
-	if uint(f) >= uint(len(s.called)) {
+	if uint(f) >= uint(s.t.nf) {
 		return 0, unknownCall(f)
 	}
-	s.called[f] = true
 	x := &s.x
 	x.record, x.starts = true, s.start[:0]
 	if _, err := x.general([]trace.FuncID{f}, 0, 1, neverDone); err != nil {
@@ -245,20 +341,19 @@ func (s *PrefixSim) ExecHead(dst []int64, calls []trace.FuncID, record bool) ([]
 	for n < len(calls) {
 		chunk := calls[n:min(len(calls), n+interruptStride)]
 		for _, f := range chunk {
-			if uint(f) >= uint(len(s.called)) {
+			if uint(f) >= uint(s.t.nf) {
 				return dst, n, unknownCall(f)
 			}
 		}
-		if record {
-			dst = slices.Grow(dst, len(chunk))
+		if record && cap(dst)-len(dst) < len(chunk) {
+			// Double, not append's 1.25x: a head record is a long slice
+			// grown a stride at a time.
+			dst = slices.Grow(dst, max(len(chunk), len(dst)))
 		}
 		x := &s.x
 		x.record, x.starts = record, dst
 		k, err := x.general(chunk, 0, len(chunk), s.c.end)
 		dst, x.starts = x.starts, nil
-		for _, f := range chunk[:k] {
-			s.called[f] = true
-		}
 		n += k
 		s.calls += k
 		if err != nil || k < len(chunk) {
@@ -301,11 +396,6 @@ func (s *PrefixSim) AdvanceSettled(counts []int64, n int) error {
 	}
 	if n > 0 && s.x.execT < s.c.end {
 		return fmt.Errorf("sim: settled advance at exec clock %d, before the compile end %d", s.x.execT, s.c.end)
-	}
-	for f, k := range counts {
-		if k > 0 {
-			s.called[f] = true
-		}
 	}
 	s.x.execT += span
 	s.calls += n
@@ -379,7 +469,7 @@ func (s *PrefixSim) CompileEnd() int64 { return s.c.end }
 
 // CompileDones returns the finish time of every appended compile event, in
 // append order. The slice aliases the simulator and is valid (read-only)
-// until the next AppendCompile or Reset.
+// until the next AppendCompile, Rewind or Reset.
 func (s *PrefixSim) CompileDones() []int64 { return s.dones }
 
 // Bubble returns the executed calls' summed waits for their functions' first

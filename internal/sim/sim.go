@@ -219,6 +219,17 @@ func (v *versionList) insert(done int64, l profile.Level) {
 	v.vs[i] = version{done: done, level: l}
 }
 
+// removeLast deletes the last-inserted version finishing at done, which must
+// exist, keeping the others in order. insert keeps versions with one finish
+// time in insertion order, so that is the last of them.
+func (v *versionList) removeLast(done int64) {
+	i := len(v.vs) - 1
+	for v.vs[i].done != done {
+		i--
+	}
+	v.vs = slices.Delete(v.vs, i, i+1)
+}
+
 // latestAt returns the level of the latest compilation finished at or before
 // t, and whether any such version exists. Callers turn ok == false into a
 // structured *ErrNoReadyVersion instead of crashing the run.
