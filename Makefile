@@ -108,7 +108,7 @@ bench-guard:
 # Machine-readable benchmark record: the evaluator fast path, the search
 # micro-benchmarks, the figure benchmarks with their normalized make-span
 # metrics, the online-policy engine (Jikes and V8 on jython, the
-# multi-threaded engine), and the uncached /schedule compute
+# multi-threaded engine), the lower bound, and the uncached /schedule compute
 # (BenchmarkServeMiss, one op per corpus miss, 27 ops = 3 passes over the
 # suite), collected into BENCH_core.json via cmd/benchjson. The figure
 # benchmarks give each iteration a fresh runner, so 3x times three cold
@@ -118,7 +118,7 @@ bench-guard:
 bench-json:
 	@{ $(GO) test -run='^$$' -bench='^BenchmarkFig5$$|^BenchmarkIAR$$|^BenchmarkAStarSearch6$$' \
 		-benchmem -benchtime=3x . && \
-	$(GO) test -run='^$$' -bench='^BenchmarkIARAblation$$|^BenchmarkSimReplay$$|^BenchmarkJikesPolicy$$|^BenchmarkV8Policy$$|^BenchmarkMTEngine$$' \
+	$(GO) test -run='^$$' -bench='^BenchmarkIARAblation$$|^BenchmarkSimReplay$$|^BenchmarkJikesPolicy$$|^BenchmarkV8Policy$$|^BenchmarkLowerBound$$|^BenchmarkMTEngine$$' \
 		-benchmem -benchtime=20x . && \
 	$(GO) test -run='^$$' -bench='BenchmarkSimRun|BenchmarkEvaluator' -benchmem -benchtime=50x ./internal/sim/ && \
 	$(GO) test -run='^$$' -bench='BenchmarkBeamSearch' -benchmem -benchtime=10x ./internal/astar/ && \

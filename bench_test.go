@@ -178,6 +178,7 @@ func BenchmarkSimReplay(b *testing.B) {
 func BenchmarkJikesPolicy(b *testing.B) {
 	w := loadBench(b, "jython")
 	model := w.DefaultModel()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pol, err := policy.NewJikes(model, w.Profile.NumFuncs(), w.Bench.SamplePeriod)
@@ -188,6 +189,12 @@ func BenchmarkJikesPolicy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerCall(b, w.Trace.Len())
+}
+
+// reportPerCall reports the benchmark's time per trace call.
+func reportPerCall(b *testing.B, calls int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(calls), "ns/call")
 }
 
 // BenchmarkV8Policy measures the online-policy engine under the V8 scheme:
@@ -199,6 +206,7 @@ func BenchmarkV8Policy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pol, err := policy.NewV8(1)
@@ -209,6 +217,7 @@ func BenchmarkV8Policy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerCall(b, w.Trace.Len())
 }
 
 // BenchmarkTraceGen measures the synthetic trace generator.
@@ -226,13 +235,19 @@ func BenchmarkTraceGen(b *testing.B) {
 	}
 }
 
-// BenchmarkLowerBound measures the §5.2 bound computation.
+// BenchmarkLowerBound measures the §5.2 bound computation on a trace whose
+// indices are built, where it sums over the memoized call counts; a figure
+// row has built them by its second bound, for the model bound and IAR. A
+// cold trace takes the per-call sum instead.
 func BenchmarkLowerBound(b *testing.B) {
 	w := loadBench(b, "pmd")
+	w.Trace.Counts()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.LowerBound(w.Trace, w.Profile)
 	}
+	reportPerCall(b, w.Trace.Len())
 }
 
 // BenchmarkAStarSearch6 measures A* at the paper's six-function feasibility

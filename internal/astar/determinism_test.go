@@ -1,17 +1,13 @@
 package astar_test
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/astar"
 	"repro/internal/profile"
 	"repro/internal/sim"
+	"repro/internal/testkit"
 	"repro/internal/trace"
 )
 
@@ -27,71 +23,25 @@ func searchCorpus(t testing.TB) []*trace.Trace {
 		maxCalls = 25
 	)
 	var out []*trace.Trace
-	for _, dir := range []string{"FuzzReadBinary", "FuzzReadText"} {
-		root := filepath.Join("..", "trace", "testdata", "fuzz", dir)
-		entries, err := os.ReadDir(root)
-		if err != nil {
-			t.Fatalf("reading fuzz corpus %s: %v", root, err)
+	for _, tr := range testkit.FuzzCorpusTraces(t) {
+		var calls []trace.FuncID
+		for _, f := range tr.Calls {
+			if int(f) < maxFuncs {
+				calls = append(calls, f)
+			}
+			if len(calls) == maxCalls {
+				break
+			}
 		}
-		for _, ent := range entries {
-			if ent.IsDir() {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(root, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, ok := decodeCorpusEntry(string(data))
-			if !ok {
-				t.Fatalf("unparseable corpus file %s/%s", dir, ent.Name())
-			}
-			var tr *trace.Trace
-			if dir == "FuzzReadBinary" {
-				tr, err = trace.ReadBinary(bytes.NewReader([]byte(payload)))
-			} else {
-				tr, err = trace.ReadText(bytes.NewReader([]byte(payload)))
-			}
-			if err != nil || tr.Len() == 0 {
-				continue
-			}
-			var calls []trace.FuncID
-			for _, f := range tr.Calls {
-				if int(f) < maxFuncs {
-					calls = append(calls, f)
-				}
-				if len(calls) == maxCalls {
-					break
-				}
-			}
-			if len(calls) == 0 {
-				continue
-			}
-			out = append(out, trace.New(dir+"/"+ent.Name(), calls))
+		if len(calls) == 0 {
+			continue
 		}
+		out = append(out, trace.New(tr.Name, calls))
 	}
 	if len(out) == 0 {
 		t.Fatal("fuzz corpus produced no usable search instances")
 	}
 	return out
-}
-
-// decodeCorpusEntry extracts the single []byte("...") or string("...")
-// argument of a "go test fuzz v1" corpus file.
-func decodeCorpusEntry(data string) (string, bool) {
-	lines := strings.Split(strings.TrimSpace(data), "\n")
-	if len(lines) < 2 || strings.TrimSpace(lines[0]) != "go test fuzz v1" {
-		return "", false
-	}
-	arg := strings.TrimSpace(lines[1])
-	open := strings.Index(arg, "(")
-	if open < 0 || !strings.HasSuffix(arg, ")") {
-		return "", false
-	}
-	s, err := strconv.Unquote(arg[open+1 : len(arg)-1])
-	if err != nil {
-		return "", false
-	}
-	return s, true
 }
 
 // TestSearchDeterminismOnCorpus pins the tie-breaking contract of the three

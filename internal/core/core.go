@@ -20,13 +20,23 @@ type Schedule = sim.Schedule
 // LowerBound returns the §5.2 lower bound on the minimum make-span: the sum
 // over the call sequence of each call's shortest possible execution time
 // (the time at the most optimized level). No schedule can finish faster, as
-// the single execution worker must at least execute every call.
+// the single execution worker must at least execute every call. On a trace
+// whose indices are built the sum is taken per called function, over the
+// memoized call counts; a cold trace is summed per call rather than indexed
+// for this alone. tr must be valid for p (tr.Validate(p.NumFuncs())).
 func LowerBound(tr *trace.Trace, p *profile.Profile) int64 {
+	var sum int64
+	if tr.Indexed() {
+		counts := tr.Counts()
+		for _, f := range tr.FirstCallOrder() {
+			sum += counts[f] * p.BestExecTime(f)
+		}
+		return sum
+	}
 	best := make([]int64, p.NumFuncs())
 	for f := range best {
 		best[f] = p.BestExecTime(trace.FuncID(f))
 	}
-	var sum int64
 	for _, f := range tr.Calls {
 		sum += best[f]
 	}
@@ -40,17 +50,25 @@ func LowerBound(tr *trace.Trace, p *profile.Profile) int64 {
 // version the runtime would ever build. That is why, in §6.2.2, switching to
 // an oracle model "lowers the lower bound": better level choices shorten the
 // best achievable execution.
+//
+// It sums per called function over the memoized call counts (the level
+// check needs the trace's indices anyway), checking levels in first-call
+// order. A trace with a negative function ID is an error.
 func LowerBoundAtLevels(tr *trace.Trace, p *profile.Profile, levels []profile.Level) (int64, error) {
 	if len(levels) < tr.NumFuncs() {
 		return 0, fmt.Errorf("core: got %d level choices for %d called functions", len(levels), tr.NumFuncs())
 	}
+	if err := tr.Validate(-1); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
+	counts := tr.Counts()
 	var sum int64
-	for _, f := range tr.Calls {
+	for _, f := range tr.FirstCallOrder() {
 		l := levels[f]
 		if l < 0 || int(l) >= p.Levels {
 			return 0, fmt.Errorf("core: function %d assigned level %d outside [0,%d)", f, l, p.Levels)
 		}
-		sum += p.ExecTime(f, l)
+		sum += counts[f] * p.ExecTime(f, l)
 	}
 	return sum, nil
 }

@@ -105,6 +105,9 @@ func (j *Jikes) FirstCall(f trace.FuncID, now int64) profile.Level {
 // BeforeCall implements sim.Policy; the Jikes scheme acts only on samples.
 func (j *Jikes) BeforeCall(trace.FuncID, int64, int64) []sim.Request { return nil }
 
+// BeforeCallLimit implements sim.Policy: BeforeCall does nothing.
+func (j *Jikes) BeforeCallLimit() int64 { return 0 }
+
 // Sample implements sim.Policy: the sampled function's hotness count grows
 // and the cost-benefit recompilation test runs — immediately for the
 // per-sample variant, or at the next organizer pass for the batched one.
@@ -210,6 +213,10 @@ func (v *V8) BeforeCall(f trace.FuncID, nth int64, now int64) []sim.Request {
 	return nil
 }
 
+// BeforeCallLimit implements sim.Policy: promotion happens at the second
+// invocation, so later ones need no BeforeCall.
+func (v *V8) BeforeCallLimit() int64 { return 2 }
+
 // Sample implements sim.Policy; V8's scheme is not sampling-driven.
 func (v *V8) Sample(trace.FuncID, int64) []sim.Request { return nil }
 
@@ -245,6 +252,10 @@ func (pl *Planned) BeforeCall(f trace.FuncID, nth int64, now int64) []sim.Reques
 	return reqs
 }
 
+// BeforeCallLimit implements sim.Policy: the plan is installed at the first
+// call of the run, which is its function's first invocation.
+func (pl *Planned) BeforeCallLimit() int64 { return 1 }
+
 // FirstCall implements sim.Policy: unplanned functions compile on demand at
 // the base level.
 func (pl *Planned) FirstCall(f trace.FuncID, now int64) profile.Level { return 0 }
@@ -278,6 +289,9 @@ func (o *OnDemand) FirstCall(f trace.FuncID, now int64) profile.Level {
 
 // BeforeCall implements sim.Policy.
 func (o *OnDemand) BeforeCall(trace.FuncID, int64, int64) []sim.Request { return nil }
+
+// BeforeCallLimit implements sim.Policy: BeforeCall does nothing.
+func (o *OnDemand) BeforeCallLimit() int64 { return 0 }
 
 // Sample implements sim.Policy.
 func (o *OnDemand) Sample(trace.FuncID, int64) []sim.Request { return nil }

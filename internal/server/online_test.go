@@ -103,10 +103,13 @@ func TestOnlineDeadlineMidWindowNoGoroutineLeak(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	baseline := runtime.NumGoroutine()
 
-	// jython's full scaled trace (~295k calls) at a narrow window replans
-	// offline IAR hundreds of times — seconds of work, cancelled at 150ms.
+	// jython at scale 4 (~1.2M calls) at a narrow window replans offline IAR
+	// thousands of times: about 1 s of work on a 2-CPU x86-64 machine, where
+	// loading the trace takes ~40 ms, so the 150 ms deadline lands well
+	// inside the stream. At scale 1 the run took 0.15-0.22 s there, too
+	// close to the deadline to be sure of a 504.
 	body, _ := json.Marshal(map[string]any{
-		"algo": "online-iar", "bench": "jython", "window": 256, "timeout_ms": 150,
+		"algo": "online-iar", "bench": "jython", "scale": 4, "window": 256, "timeout_ms": 150,
 	})
 	start := time.Now()
 	status, _, b := post(t, ts.URL, body)

@@ -58,16 +58,29 @@ func (d QueueDiscipline) String() string {
 // Requested levels must lie within the profile's level range. The engine
 // reads a slice returned by BeforeCall or Sample before its next call into
 // the policy, so an implementation may return one buffer it reuses.
+//
+// The engine calls BeforeCall only for the first BeforeCallLimit()
+// invocations of each function, and never for later ones: a policy declares
+// how far into a function's call count its decisions reach (V8 promotes at
+// the second invocation, so its limit is 2; a sampling-driven policy needs
+// none, so 0). That is what lets the engine run a stretch of calls to
+// settled functions without a call into the policy per call. A policy that
+// must see every call returns math.MaxInt64.
 type Policy interface {
 	// FirstCall is invoked when execution reaches a function that has never
 	// been requested. The returned level is compiled as a blocking request:
 	// the call waits until the function is ready. now is the request time.
 	FirstCall(f trace.FuncID, now int64) profile.Level
 
-	// BeforeCall is invoked before every call, with nth the 1-based count of
-	// this function's invocations so far (including this one). Returned
-	// requests are enqueued at time now without blocking the call.
+	// BeforeCall is invoked before each of a function's first
+	// BeforeCallLimit() calls, with nth the 1-based count of this
+	// function's invocations so far (including this one). Returned requests
+	// are enqueued at time now without blocking the call.
 	BeforeCall(f trace.FuncID, nth int64, now int64) []Request
+
+	// BeforeCallLimit returns how many leading invocations of each function
+	// BeforeCall must see; a limit <= 0 means it sees none.
+	BeforeCallLimit() int64
 
 	// Sample is invoked at every sampling tick that lands during the
 	// execution of a call, identifying the function on the (simulated) call
@@ -201,7 +214,7 @@ func (q *compileQueue) pop(h int) pendingReq {
 
 // fnRequests is one function's policy-side counters.
 type fnRequests struct {
-	calls int64         // invocations so far, across threads
+	calls int64         // invocations so far, across threads, up to the policy's BeforeCallLimit
 	max   profile.Level // highest level requested; -1 before the first request
 }
 
@@ -366,6 +379,28 @@ func (e *engine) version(f trace.FuncID, t int64) (profile.Level, int64, error) 
 	return l, e.t.exec(f, l), nil
 }
 
+// quiet executes calls[i:stop] from exec clock execT while each call is
+// quiet — nothing can happen during it but the clock advancing: its function
+// has settled by the clock (so the call neither waits nor needs a version
+// lookup) and has had its BeforeCall hooks, no commit is due by the clock
+// (nothing enqueues during a stretch, so nextAt stays put), and no sampling
+// tick lands before the call's end (sampleAt is the next tick). It returns
+// the index of the first call not executed and the clock after the last
+// executed one.
+func (e *engine) quiet(calls []trace.FuncID, i, stop int, execT, sampleAt, limit int64) (int, int64) {
+	tab, fns, nextAt := e.c.tab, e.fns, e.nextAt
+	for ; i < stop; i++ {
+		f := calls[i]
+		r := &tab[f]
+		end := execT + r.exec
+		if r.last > execT || execT >= nextAt || end > sampleAt || fns[f].calls < limit {
+			break
+		}
+		execT = end
+	}
+	return i, execT
+}
+
 // result drains the queue and returns an owned copy of the compile side of
 // the run's Result.
 func (e *engine) result() *Result {
@@ -395,6 +430,11 @@ func (e *engine) result() *Result {
 //     requests coalesce in the queue).
 //   - cfg.CompileWorkers workers serve the queue under cfg.Discipline; a
 //     request may not start before its arrival time.
+//
+// Without a Recorder, execution-time variation or RecordCalls, a run of
+// quiet calls (see engine.quiet) advances the exec clock in a tight loop
+// over the settled table, as the static kernel's tail does; every other
+// call takes the general step.
 func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts Options) (*Result, error) {
 	if cfg.CompileWorkers < 1 {
 		return nil, fmt.Errorf("sim: Config.CompileWorkers must be >= 1, got %d", cfg.CompileWorkers)
@@ -421,6 +461,7 @@ func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts
 	if period < 0 {
 		return nil, fmt.Errorf("sim: policy sample period must be >= 0, got %d", period)
 	}
+	limit := pol.BeforeCallLimit()
 	nextSample := period // first sampling tick fires at t = period
 
 	var starts []int64
@@ -432,17 +473,30 @@ func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts
 	}
 	tab, fns, rec, intr := e.c.tab, e.fns, e.rec, opts.Interrupt
 	mag, seed := opts.ExecVariation, opts.ExecVariationSeed
+	quiet := mag == 0 && rec == nil && !record
+	calls := tr.Calls
 	var execT, bubble int64
 	var stalls int
-	for i, f := range tr.Calls {
+	for i := 0; i < len(calls); {
 		if intr != nil && i%interruptStride == 0 && interrupted(intr) {
 			return nil, ErrInterrupted
 		}
+		if quiet {
+			// The stretch stops at the next interrupt poll.
+			stop := min(len(calls), (i/interruptStride+1)*interruptStride)
+			i, execT = e.quiet(calls, i, stop, execT, sampleAt(period, nextSample), limit)
+			if i == stop {
+				continue
+			}
+		}
+		f := calls[i]
 		fr := &fns[f]
-		fr.calls++
-		for _, r := range pol.BeforeCall(f, fr.calls, execT) {
-			if err := e.enqueue(r.Func, r.Level, execT); err != nil {
-				return nil, err
+		if fr.calls < limit {
+			fr.calls++
+			for _, r := range pol.BeforeCall(f, fr.calls, execT) {
+				if err := e.enqueue(r.Func, r.Level, execT); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if fr.max < 0 {
@@ -501,12 +555,21 @@ func RunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, opts
 			levels = append(levels, level)
 		}
 		execT = end
+		i++
 	}
 	res := e.result()
 	res.MakeSpan, res.TotalBubble, res.BubbleCount = execT, bubble, stalls
 	res.TotalExec = execT - bubble
 	res.CallStarts, res.CallLevels = starts, levels
 	return res, nil
+}
+
+// sampleAt is the time of the next sampling tick, or never without sampling.
+func sampleAt(period, nextSample int64) int64 {
+	if period == 0 {
+		return noAssign
+	}
+	return nextSample
 }
 
 // ScheduleOf extracts the compilation sequence a run produced, in the order

@@ -20,6 +20,7 @@ func (v v8ish) BeforeCall(f trace.FuncID, nth int64, now int64) []Request {
 	}
 	return nil
 }
+func (v v8ish) BeforeCallLimit() int64               { return 2 }
 func (v v8ish) Sample(trace.FuncID, int64) []Request { return nil }
 func (v v8ish) SamplePeriod() int64                  { return 0 }
 
@@ -28,6 +29,7 @@ type levelZero struct{}
 
 func (levelZero) FirstCall(trace.FuncID, int64) profile.Level     { return 0 }
 func (levelZero) BeforeCall(trace.FuncID, int64, int64) []Request { return nil }
+func (levelZero) BeforeCallLimit() int64                          { return 0 }
 func (levelZero) Sample(trace.FuncID, int64) []Request            { return nil }
 func (levelZero) SamplePeriod() int64                             { return 0 }
 
@@ -37,6 +39,7 @@ type multiSampler struct{ period int64 }
 
 func (m multiSampler) FirstCall(trace.FuncID, int64) profile.Level     { return 0 }
 func (m multiSampler) BeforeCall(trace.FuncID, int64, int64) []Request { return nil }
+func (m multiSampler) BeforeCallLimit() int64                          { return 0 }
 func (m multiSampler) Sample(f trace.FuncID, now int64) []Request {
 	if f <= 1 {
 		return []Request{{Func: f, Level: 1}}
@@ -54,6 +57,7 @@ type burstSampler struct {
 
 func (b *burstSampler) FirstCall(trace.FuncID, int64) profile.Level     { return 0 }
 func (b *burstSampler) BeforeCall(trace.FuncID, int64, int64) []Request { return nil }
+func (b *burstSampler) BeforeCallLimit() int64                          { return 0 }
 func (b *burstSampler) Sample(f trace.FuncID, now int64) []Request {
 	if b.fired {
 		return nil

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/profile"
+	"repro/internal/testkit"
 	"repro/internal/trace"
 )
 
@@ -140,6 +142,102 @@ func TestRunPolicyRejectsMalformedProfile(t *testing.T) {
 	for name, err := range map[string]error{"Run": runErr, "RunPolicy": polErr, "RunPolicyMT": mtErr} {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
+}
+
+// TestRunRejectsNegativeFuncID is the regression test for the former
+// index-out-of-range panic in Schedule.validate on a trace with a negative
+// function ID: Run, Evaluator.Run and Schedule.Validate return the error
+// trace.Validate gives, which is also RunPolicy's, on a cold trace and on
+// one whose indices are built.
+func TestRunRejectsNegativeFuncID(t *testing.T) {
+	p, err := profile.Synthesize(2, profile.DefaultTiming(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []trace.FuncID{0, 1, -1, 1}
+	const want = `trace "negative": call 2 has negative function id -1`
+	sched := Schedule{{Func: 0, Level: 0}, {Func: 1, Level: 0}}
+	for _, warm := range []bool{false, true} {
+		tr := trace.New("negative", calls)
+		if warm {
+			tr.FirstCallOrder()
+		}
+		ev, err := NewEvaluator(tr, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, evErr := ev.Run(sched, DefaultConfig(), Options{})
+		_, runErr := Run(tr, p, sched, DefaultConfig(), Options{})
+		_, polErr := RunPolicy(tr, p, levelZero{}, DefaultConfig(), Options{})
+		valErr := sched.Validate(tr, p)
+		for name, err := range map[string]error{"Evaluator.Run": evErr, "Run": runErr, "RunPolicy": polErr, "Schedule.Validate": valErr} {
+			if err == nil || err.Error() != want {
+				t.Errorf("warm=%v %s: error %v, want %q", warm, name, err, want)
+			}
+		}
+	}
+}
+
+// TestScheduleValidateMatchesReference diffs Schedule.Validate, which checks
+// each distinct called function over the trace's memoized indices when they
+// are built, against the per-call scan on the fuzz corpus and on traces with
+// negative, out-of-range and uncompiled IDs: a schedule compiling every
+// called function, one missing the function called last, and an empty one,
+// each on a cold trace, which Validate must leave unindexed, and on one
+// whose indices are built.
+func TestScheduleValidateMatchesReference(t *testing.T) {
+	inputs := corpusTraces(t)
+	for i, calls := range [][]trace.FuncID{
+		{0, 1, -1, 2},
+		{0, 3, 1, -2},
+		{2, 0, 9, 1},
+		{1, 1, 0, 2, 0},
+	} {
+		inputs = append(inputs, trace.New(fmt.Sprintf("edge%d", i), calls))
+	}
+	for _, in := range inputs {
+		// A profile covering every called function, and one short of the
+		// largest ID, which the trace then calls out of range.
+		nf := in.NumFuncs()
+		for _, nfp := range []int{nf, nf - 1} {
+			if nfp < 1 {
+				continue
+			}
+			checkScheduleValidate(t, in, testkit.Synth(nfp, profile.DefaultTiming(3, 5)))
+		}
+	}
+}
+
+func checkScheduleValidate(t *testing.T, in *trace.Trace, prof *profile.Profile) {
+	t.Helper()
+	var all Schedule
+	for _, f := range in.FirstCallOrder() {
+		if int(f) < prof.NumFuncs() {
+			all = append(all, CompileEvent{Func: f, Level: 1})
+		}
+	}
+	last := in.Calls[len(in.Calls)-1]
+	var missing Schedule
+	for _, ev := range all {
+		if ev.Func != last {
+			missing = append(missing, ev)
+		}
+	}
+	for si, sched := range []Schedule{all, missing, nil} {
+		want := refValidate(sched, in, prof)
+		cold := trace.New(in.Name, in.Calls)
+		warm := trace.New(in.Name, in.Calls)
+		warm.FirstCallOrder()
+		for pass, tr := range []*trace.Trace{cold, warm} {
+			if got := sched.Validate(tr, prof); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s, %d funcs, schedule %d, pass %d: Validate = %v, reference = %v",
+					in.Name, prof.NumFuncs(), si, pass, got, want)
+			}
+			if tr == cold && cold.Indexed() {
+				t.Errorf("%s, schedule %d: Validate built a cold trace's indices", in.Name, si)
+			}
 		}
 	}
 }

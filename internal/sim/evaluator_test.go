@@ -1,14 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -18,65 +14,17 @@ import (
 	"repro/internal/trace"
 )
 
-// corpusTraces decodes the trace fuzz seed corpus (both codecs) into traces
-// usable as differential-test inputs, skipping entries the codecs reject.
+// corpusTraces is the trace fuzz seed corpus as differential-test inputs,
+// up to 64Ki calls each.
 func corpusTraces(t testing.TB) []*trace.Trace {
 	t.Helper()
 	var out []*trace.Trace
-	for _, dir := range []string{"FuzzReadBinary", "FuzzReadText"} {
-		root := filepath.Join("..", "trace", "testdata", "fuzz", dir)
-		entries, err := os.ReadDir(root)
-		if err != nil {
-			t.Fatalf("reading fuzz corpus %s: %v", root, err)
-		}
-		for _, ent := range entries {
-			if ent.IsDir() {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(root, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, ok := decodeCorpusEntry(string(data))
-			if !ok {
-				t.Fatalf("unparseable corpus file %s/%s", dir, ent.Name())
-			}
-			var tr *trace.Trace
-			if dir == "FuzzReadBinary" {
-				tr, err = trace.ReadBinary(bytes.NewReader([]byte(payload)))
-			} else {
-				tr, err = trace.ReadText(bytes.NewReader([]byte(payload)))
-			}
-			if err != nil || tr.Len() == 0 || tr.Len() > 1<<16 {
-				continue
-			}
-			tr.Name = dir + "/" + ent.Name()
+	for _, tr := range testkit.FuzzCorpusTraces(t) {
+		if tr.Len() <= 1<<16 {
 			out = append(out, tr)
 		}
 	}
-	if len(out) == 0 {
-		t.Fatal("fuzz corpus produced no decodable traces")
-	}
 	return out
-}
-
-// decodeCorpusEntry extracts the single []byte("...") or string("...")
-// argument of a "go test fuzz v1" corpus file.
-func decodeCorpusEntry(data string) (string, bool) {
-	lines := strings.Split(strings.TrimSpace(data), "\n")
-	if len(lines) < 2 || strings.TrimSpace(lines[0]) != "go test fuzz v1" {
-		return "", false
-	}
-	arg := strings.TrimSpace(lines[1])
-	open := strings.Index(arg, "(")
-	if open < 0 || !strings.HasSuffix(arg, ")") {
-		return "", false
-	}
-	s, err := strconv.Unquote(arg[open+1 : len(arg)-1])
-	if err != nil {
-		return "", false
-	}
-	return s, true
 }
 
 // corpusSchedule builds a deterministic valid schedule for the trace: every

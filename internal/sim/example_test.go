@@ -62,5 +62,6 @@ func (secondCallPromoter) BeforeCall(f trace.FuncID, nth, now int64) []sim.Reque
 	}
 	return nil
 }
+func (secondCallPromoter) BeforeCallLimit() int64                   { return 2 }
 func (secondCallPromoter) Sample(trace.FuncID, int64) []sim.Request { return nil }
 func (secondCallPromoter) SamplePeriod() int64                      { return 0 }

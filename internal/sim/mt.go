@@ -78,6 +78,7 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 	if period < 0 {
 		return nil, nil, fmt.Errorf("sim: policy sample period must be >= 0, got %d", period)
 	}
+	limit := pol.BeforeCallLimit()
 
 	ts := make([]*mtThread, len(threads))
 	for i, tr := range threads {
@@ -126,10 +127,12 @@ func RunPolicyMT(threads []*trace.Trace, p *profile.Profile, pol Policy, cfg Con
 		f := t.calls[t.idx]
 		if bestIsIssue {
 			fr := &e.fns[f]
-			fr.calls++
-			for _, r := range pol.BeforeCall(f, fr.calls, t.clock) {
-				if err := e.enqueue(r.Func, r.Level, t.clock); err != nil {
-					return nil, nil, err
+			if fr.calls < limit {
+				fr.calls++
+				for _, r := range pol.BeforeCall(f, fr.calls, t.clock) {
+					if err := e.enqueue(r.Func, r.Level, t.clock); err != nil {
+						return nil, nil, err
+					}
 				}
 			}
 			if fr.max < 0 {

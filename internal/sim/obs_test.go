@@ -65,6 +65,7 @@ type onDemandPolicy struct{}
 
 func (onDemandPolicy) FirstCall(f trace.FuncID, now int64) profile.Level { return 0 }
 func (onDemandPolicy) BeforeCall(trace.FuncID, int64, int64) []Request   { return nil }
+func (onDemandPolicy) BeforeCallLimit() int64                            { return 0 }
 func (onDemandPolicy) Sample(trace.FuncID, int64) []Request              { return nil }
 func (onDemandPolicy) SamplePeriod() int64                               { return 0 }
 

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -31,8 +33,8 @@ type policyInput struct {
 	period int64
 }
 
-// policyInputs are the fuzz seed corpus, two generated traces, and a prefix
-// of a full-size DaCapo workload.
+// policyInputs are the fuzz seed corpus, two generated traces, the
+// boundary input, and a prefix of a full-size DaCapo workload.
 func policyInputs(t *testing.T) []policyInput {
 	t.Helper()
 	var in []policyInput
@@ -47,7 +49,38 @@ func policyInputs(t *testing.T) []policyInput {
 		})
 		in = append(in, policyInput{tr.Name, tr, testkit.Synth(80, profile.DefaultTiming(3, seed)), 2000})
 	}
-	return append(in, jythonPrefix(t, 10000))
+	return append(in, boundaryInput(), jythonPrefix(t, 10000))
+}
+
+// boundaryInput puts the engine's event boundaries on top of each other.
+// Every exec and compile time is a multiple of 4 and the sampling period is
+// 8, so sampling ticks land exactly at call ends, and a call of 4 ticks
+// that ends on a tick may run quietly. The cheapest functions' recompiles
+// take no time, so a compilation that commits at a call's start also
+// finishes there, and the call must see it: with one worker the Planned
+// policy's queue commits one exactly at the start of a call that is
+// otherwise quiet.
+func boundaryInput() policyInput {
+	rng := rand.New(rand.NewSource(45))
+	nf := 2 + rng.Intn(5)
+	p := &profile.Profile{Levels: 3, Funcs: make([]profile.FuncTimes, nf)}
+	for f := range p.Funcs {
+		k := int64(f%3 + 1)
+		p.Funcs[f] = profile.FuncTimes{
+			Name: fmt.Sprintf("f%d", f), Size: 100 * k,
+			Compile: []int64{4 * k, 8 * (k - 1), 4 * (k - 1)}, Exec: []int64{12 * k, 8 * k, 4},
+		}
+	}
+	calls := make([]trace.FuncID, 300)
+	for i := range calls {
+		// Runs of one function, so settled calls follow each other.
+		if i == 0 || rng.Intn(4) == 0 {
+			calls[i] = trace.FuncID(rng.Intn(nf))
+		} else {
+			calls[i] = calls[i-1]
+		}
+	}
+	return policyInput{"boundary", trace.New("boundary", calls), p, 8}
 }
 
 func jythonPrefix(t *testing.T, calls int) policyInput {
@@ -69,8 +102,8 @@ type policyMaker struct {
 	mk   func() sim.Policy
 }
 
-// policyMakers are Jikes, organizer-batched Jikes, V8, Planned and OnDemand
-// for the input.
+// policyMakers are Jikes, organizer-batched Jikes, V8, Planned, OnDemand,
+// a third-call promoter and a per-sample promoter for the input.
 func policyMakers(t *testing.T, in policyInput) []policyMaker {
 	t.Helper()
 	p, nf := in.p, in.p.NumFuncs()
@@ -94,7 +127,97 @@ func policyMakers(t *testing.T, in policyInput) []policyMaker {
 		{"v8", func() sim.Policy { return must(policy.NewV8(profile.Level(p.Levels - 1))) }},
 		{"planned", func() sim.Policy { return policy.NewPlanned(plan) }},
 		{"ondemand", func() sim.Policy { return policy.NewOnDemand(levels) }},
+		{"third-call", func() sim.Policy { return &thirdCallPromoter{high: profile.Level(p.Levels - 1), nf: nf} }},
+		{"tick-sampler", func() sim.Policy { return newTickSampler(nf, p.Levels, in.period) }},
 	}
+}
+
+// thirdCallPromoter compiles at level 0, and at a function's third
+// invocation promotes it and its successor in ID order to high: a
+// BeforeCall limit of 3, one past V8's, and a hook that reaches another
+// function, as a call-graph-guided prefetcher's would.
+type thirdCallPromoter struct {
+	high profile.Level
+	nf   int
+	req  [2]sim.Request
+}
+
+func (tc *thirdCallPromoter) FirstCall(trace.FuncID, int64) profile.Level { return 0 }
+func (tc *thirdCallPromoter) BeforeCall(f trace.FuncID, nth, now int64) []sim.Request {
+	if nth != 3 {
+		return nil
+	}
+	tc.req[0] = sim.Request{Func: f, Level: tc.high}
+	tc.req[1] = sim.Request{Func: (f + 1) % trace.FuncID(tc.nf), Level: tc.high}
+	return tc.req[:]
+}
+func (tc *thirdCallPromoter) BeforeCallLimit() int64                   { return 3 }
+func (tc *thirdCallPromoter) Sample(trace.FuncID, int64) []sim.Request { return nil }
+func (tc *thirdCallPromoter) SamplePeriod() int64                      { return 0 }
+
+// tickSampler promotes the sampled function one level per sample, so a
+// run's compilations depend on which call each tick lands in — on the
+// boundary input, whether a tick at a call's end is counted for that call
+// or the next.
+type tickSampler struct {
+	period int64
+	levels profile.Level
+	last   []profile.Level
+	req    [1]sim.Request
+}
+
+func newTickSampler(nf, levels int, period int64) *tickSampler {
+	return &tickSampler{period: period, levels: profile.Level(levels), last: make([]profile.Level, nf)}
+}
+
+func (ts *tickSampler) FirstCall(trace.FuncID, int64) profile.Level         { return 0 }
+func (ts *tickSampler) BeforeCall(trace.FuncID, int64, int64) []sim.Request { return nil }
+func (ts *tickSampler) BeforeCallLimit() int64                              { return 0 }
+func (ts *tickSampler) Sample(f trace.FuncID, now int64) []sim.Request {
+	if ts.last[f]+1 >= ts.levels {
+		return nil
+	}
+	ts.last[f]++
+	ts.req[0] = sim.Request{Func: f, Level: ts.last[f]}
+	return ts.req[:]
+}
+func (ts *tickSampler) SamplePeriod() int64 { return ts.period }
+
+// hookCounter forwards to a policy and checks the engine's side of the
+// BeforeCall contract: each function's hooks arrive with nth = 1, 2, ...
+// and stop after BeforeCallLimit of them.
+type hookCounter struct {
+	sim.Policy
+	seen map[trace.FuncID]int64
+	bad  error
+}
+
+func (h *hookCounter) BeforeCall(f trace.FuncID, nth, now int64) []sim.Request {
+	if h.bad == nil && (nth != h.seen[f]+1 || nth > h.Policy.BeforeCallLimit()) {
+		h.bad = fmt.Errorf("BeforeCall(f%d, nth=%d) after %d hooks, limit %d", f, nth, h.seen[f], h.Policy.BeforeCallLimit())
+	}
+	h.seen[f] = nth
+	return h.Policy.BeforeCall(f, nth, now)
+}
+
+// check reports a hook out of sequence, or a function whose hook count is
+// not min(calls, limit) over the threads' calls.
+func (h *hookCounter) check(threads []*trace.Trace) error {
+	if h.bad != nil {
+		return h.bad
+	}
+	calls := make(map[trace.FuncID]int64)
+	for _, tr := range threads {
+		for _, f := range tr.Calls {
+			calls[f]++
+		}
+	}
+	for f, n := range calls {
+		if want := min(n, h.Policy.BeforeCallLimit()); h.seen[f] != want {
+			return fmt.Errorf("f%d: %d BeforeCall hooks over %d calls, want %d", f, h.seen[f], n, want)
+		}
+	}
+	return nil
 }
 
 // diffPolicyRun runs one instance through RunPolicy and the reference and
@@ -103,7 +226,8 @@ func policyMakers(t *testing.T, in policyInput) []policyMaker {
 func diffPolicyRun(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile, mk func() sim.Policy, cfg sim.Config, opts sim.Options) {
 	t.Helper()
 	want, wantErr := sim.RefRunPolicy(tr, p, mk(), cfg, opts)
-	got, gotErr := sim.RunPolicy(tr, p, mk(), cfg, opts)
+	hooks := &hookCounter{Policy: mk(), seen: map[trace.FuncID]int64{}}
+	got, gotErr := sim.RunPolicy(tr, p, hooks, cfg, opts)
 	if !reflect.DeepEqual(wantErr, gotErr) {
 		t.Fatalf("%s: error mismatch: reference=%v got=%v", tag, wantErr, gotErr)
 	}
@@ -111,6 +235,9 @@ func diffPolicyRun(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile
 		return
 	}
 	sim.DiffResults(t, tag, want, got)
+	if err := hooks.check([]*trace.Trace{tr}); err != nil {
+		t.Errorf("%s: %v", tag, err)
+	}
 
 	wantRec, gotRec := obs.NewRecorder(), obs.NewRecorder()
 	ropts := opts
@@ -131,7 +258,8 @@ func diffPolicyRun(t *testing.T, tag string, tr *trace.Trace, p *profile.Profile
 func diffPolicyRunMT(t *testing.T, tag string, threads []*trace.Trace, p *profile.Profile, mk func() sim.Policy, cfg sim.Config, opts sim.Options) {
 	t.Helper()
 	want, wantThreads, wantErr := sim.RefRunPolicyMT(threads, p, mk(), cfg, opts)
-	got, gotThreads, gotErr := sim.RunPolicyMT(threads, p, mk(), cfg, opts)
+	hooks := &hookCounter{Policy: mk(), seen: map[trace.FuncID]int64{}}
+	got, gotThreads, gotErr := sim.RunPolicyMT(threads, p, hooks, cfg, opts)
 	if !reflect.DeepEqual(wantErr, gotErr) {
 		t.Fatalf("%s: error mismatch: reference=%v got=%v", tag, wantErr, gotErr)
 	}
@@ -139,6 +267,9 @@ func diffPolicyRunMT(t *testing.T, tag string, threads []*trace.Trace, p *profil
 		return
 	}
 	sim.DiffResults(t, tag, want, got)
+	if err := hooks.check(threads); err != nil {
+		t.Errorf("%s: %v", tag, err)
+	}
 	if !reflect.DeepEqual(wantThreads, gotThreads) {
 		t.Errorf("%s: per-thread results differ: reference=%v got=%v", tag, wantThreads, gotThreads)
 	}
@@ -228,6 +359,10 @@ func (fp *failingPolicy) BeforeCall(f trace.FuncID, nth int64, now int64) []sim.
 	}
 	return fp.Policy.BeforeCall(f, nth, now)
 }
+
+// BeforeCallLimit implements sim.Policy: the failing call is counted over
+// every call.
+func (fp *failingPolicy) BeforeCallLimit() int64 { return math.MaxInt64 }
 
 // TestRunPolicyPoolHygiene checks that a pooled engine carries nothing from
 // one run into the next: a large-nf run followed by a small-nf run, and a

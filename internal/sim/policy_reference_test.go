@@ -232,6 +232,8 @@ func refRunPolicy(tr *trace.Trace, p *profile.Profile, pol Policy, cfg Config, o
 		return eng.refEnqueue(maxRequested, requested, &seq, true, f, l, arrival)
 	}
 
+	// The references call BeforeCall on every call, so the diffs check that
+	// each policy honours its declared BeforeCallLimit.
 	period := pol.SamplePeriod()
 	if period < 0 {
 		return nil, fmt.Errorf("sim: policy sample period must be >= 0, got %d", period)

@@ -18,6 +18,7 @@ package sim_test
 // tests in internal/runner can demand bit-identical parallel results.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -205,6 +206,8 @@ func (c *chaosPolicy) BeforeCall(f trace.FuncID, nth int64, now int64) []sim.Req
 	}
 	return nil
 }
+
+func (c *chaosPolicy) BeforeCallLimit() int64 { return math.MaxInt64 }
 
 func (c *chaosPolicy) Sample(f trace.FuncID, now int64) []sim.Request {
 	if c.rng.Intn(3) == 0 {

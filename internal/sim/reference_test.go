@@ -19,7 +19,7 @@ func refRun(tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opt
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if err := sched.Validate(tr, p); err != nil {
+	if err := refValidate(sched, tr, p); err != nil {
 		return nil, err
 	}
 	res := &Result{
@@ -47,6 +47,38 @@ func refRun(tr *trace.Trace, p *profile.Profile, sched Schedule, cfg Config, opt
 		return nil, err
 	}
 	return res, nil
+}
+
+// refValidate is Schedule.Validate as a per-call scan over the trace, the
+// reference its per-function check over the memoized indices is diffed
+// against: events first, then the first call with a negative function ID
+// (as trace.Validate reports it), then the first call to a function the
+// schedule never compiles.
+func refValidate(s Schedule, tr *trace.Trace, p *profile.Profile) error {
+	compiled := make([]bool, p.NumFuncs())
+	for i, ev := range s {
+		if ev.Func < 0 || int(ev.Func) >= len(compiled) {
+			return fmt.Errorf("sim: schedule event %d references unknown function %d", i, ev.Func)
+		}
+		if ev.Level < 0 || int(ev.Level) >= p.Levels {
+			return fmt.Errorf("sim: schedule event %d uses level %d outside [0,%d)", i, ev.Level, p.Levels)
+		}
+		compiled[ev.Func] = true
+	}
+	if tr == nil {
+		return nil
+	}
+	for i, f := range tr.Calls {
+		if f < 0 {
+			return fmt.Errorf("trace %q: call %d has negative function id %d", tr.Name, i, f)
+		}
+	}
+	for i, f := range tr.Calls {
+		if int(f) >= len(compiled) || !compiled[f] {
+			return fmt.Errorf("sim: call %d invokes function %d which the schedule never compiles", i, f)
+		}
+	}
+	return nil
 }
 
 func newWorkerPool(w int) *workerPool { return &workerPool{free: make([]int64, w)} }

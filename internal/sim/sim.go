@@ -56,13 +56,17 @@ func (s Schedule) TotalCompileTime(p *profile.Profile) int64 {
 }
 
 // Validate checks that every event references a valid function and level and
-// that, if tr is non-nil, every called function is compiled at least once.
+// that, if tr is non-nil, the trace has no negative function ID (reported as
+// tr.Validate reports it) and every called function is compiled at least
+// once.
 func (s Schedule) Validate(tr *trace.Trace, p *profile.Profile) error {
 	return s.validate(tr, p.Levels, make([]bool, p.NumFuncs()))
 }
 
 // validate is Validate for a profile of len(compiled) functions, with
-// compiled as scratch.
+// compiled as scratch. On a trace whose indices are built it checks each
+// distinct called function from them, which finds the same first offending
+// call; a cold trace is scanned per call rather than indexed for this alone.
 func (s Schedule) validate(tr *trace.Trace, levels int, compiled []bool) error {
 	clear(compiled)
 	for i, ev := range s {
@@ -74,14 +78,34 @@ func (s Schedule) validate(tr *trace.Trace, levels int, compiled []bool) error {
 		}
 		compiled[ev.Func] = true
 	}
-	if tr != nil {
+	if tr == nil {
+		return nil
+	}
+	if !tr.Indexed() {
 		for i, f := range tr.Calls {
-			if int(f) >= len(compiled) || !compiled[f] {
-				return fmt.Errorf("sim: call %d invokes function %d which the schedule never compiles", i, f)
+			if f < 0 || int(f) >= len(compiled) || !compiled[f] {
+				return uncompiledCall(tr, i, f)
 			}
 		}
+		return nil
 	}
-	return nil
+	first := tr.FirstCalls()
+	for _, f := range tr.FirstCallOrder() {
+		if int(f) >= len(compiled) || !compiled[f] {
+			return uncompiledCall(tr, first[f], f)
+		}
+	}
+	return tr.Validate(-1)
+}
+
+// uncompiledCall reports call i, of function f, as one the schedule never
+// compiles, unless the trace has a negative function ID, which is reported
+// first, as tr.Validate reports it.
+func uncompiledCall(tr *trace.Trace, i int, f trace.FuncID) error {
+	if err := tr.Validate(-1); err != nil {
+		return err
+	}
+	return fmt.Errorf("sim: call %d invokes function %d which the schedule never compiles", i, f)
 }
 
 // Config selects the machine configuration.

@@ -36,9 +36,12 @@ type Trace struct {
 	memo atomic.Pointer[traceMemo]
 }
 
-// traceMemo holds the derived indices of a trace, computed once.
+// traceMemo holds the derived indices of a trace, computed once. Negative
+// IDs, which Validate rejects, are left out of the indices; minID records
+// that there are any.
 type traceMemo struct {
 	numFuncs   int
+	minID      FuncID // smallest ID in the trace; 0 for an empty trace
 	counts     []int64
 	firstCalls []int
 	firstOrder []FuncID
@@ -51,14 +54,16 @@ func (t *Trace) index() *traceMemo {
 	if m := t.memo.Load(); m != nil {
 		return m
 	}
-	n := 0
+	n, lo := 0, FuncID(0)
 	for _, f := range t.Calls {
 		if int(f) >= n {
 			n = int(f) + 1
 		}
+		lo = min(lo, f)
 	}
 	m := &traceMemo{
 		numFuncs:   n,
+		minID:      lo,
 		counts:     make([]int64, n),
 		firstCalls: make([]int, n),
 	}
@@ -66,6 +71,9 @@ func (t *Trace) index() *traceMemo {
 		m.firstCalls[i] = -1
 	}
 	for i, f := range t.Calls {
+		if f < 0 {
+			continue
+		}
 		m.counts[f]++
 		if m.firstCalls[f] < 0 {
 			m.firstCalls[f] = i
@@ -85,12 +93,17 @@ func New(name string, calls []FuncID) *Trace {
 func (t *Trace) Len() int { return len(t.Calls) }
 
 // NumFuncs returns one more than the largest FuncID present, i.e. the size of
-// the dense ID space. An empty trace has zero functions.
+// the dense ID space. An empty trace has zero functions. The indices below
+// leave out negative IDs, which a valid trace (Validate) does not have.
 func (t *Trace) NumFuncs() int { return t.index().numFuncs }
 
 // Validate checks that all IDs are non-negative and, if nfuncs >= 0, within
-// [0, nfuncs).
+// [0, nfuncs). On a trace whose indices are already built it answers from
+// their ID range and scans the calls only to name the first offending one.
 func (t *Trace) Validate(nfuncs int) error {
+	if m := t.memo.Load(); m != nil && m.minID >= 0 && (nfuncs < 0 || m.numFuncs <= nfuncs) {
+		return nil
+	}
 	for i, f := range t.Calls {
 		if f < 0 {
 			return fmt.Errorf("trace %q: call %d has negative function id %d", t.Name, i, f)
@@ -101,6 +114,11 @@ func (t *Trace) Validate(nfuncs int) error {
 	}
 	return nil
 }
+
+// Indexed reports whether the trace's memoized indices are already built,
+// so that a caller whose per-call pass could instead read them knows it can
+// do so without an O(calls) index build of its own.
+func (t *Trace) Indexed() bool { return t.memo.Load() != nil }
 
 // Counts returns the number of invocations of each function, indexed by
 // FuncID, sized by NumFuncs. The slice is memoized and shared — read-only.
